@@ -82,6 +82,9 @@ def run(argv=None, out=None) -> int:
     except (ParseError, UnsupportedLogicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=out)
+        return 2
 
 
 def main() -> None:

@@ -287,10 +287,6 @@ def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     return list(seen)
 
 
-def variables_of(f: Formula) -> list[str]:
-    return [g.name for g in subformulas(f) if isinstance(g, Var)]
-
-
 def match_schema(schema: Formula, candidate: Formula) -> Optional[dict[str, Formula]]:
     """The substitution sending ``schema`` to ``candidate``, if one exists.
 

@@ -26,7 +26,16 @@ DEFAULT_CELL_CAP = 10 ** 6
 
 def cell_cap() -> int:
     value = os.environ.get("SWAPKIT_MAX_CELLS")
-    return int(value) if value else DEFAULT_CELL_CAP
+    if not value:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(value)
+        if cap > 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"SWAPKIT_MAX_CELLS must be a positive integer, "
+                     f"got {value!r}")
 
 
 class SignatureMismatch(ValueError):

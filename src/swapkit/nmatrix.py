@@ -10,6 +10,15 @@ carrier elements that behave identically in every position the formula
 actually occupies (same rows in the parent operators' tables).  Two values
 with equal designation and equal parent cells are interchangeable in a
 countermodel, so this pruning loses nothing.
+
+Each query is compiled once: the closure becomes a children-first list of
+nodes, each carrying its operator's table (none for a variable), the indices
+of its children and a want-code saying whether the countermodel must
+designate it (a premise), must not (the goal), must do both, which no value
+can (the goal is also a premise), or is free.  The search reads only those
+ints and lists: no formula is hashed or compared after compilation, because
+the recursive hash and equality of formula trees would otherwise dominate
+its cost.
 """
 
 from __future__ import annotations
@@ -168,27 +177,47 @@ def _canon(signatures: list) -> tuple[int, ...]:
     return tuple(out)
 
 
+#: Want-codes: what the countermodel needs of a node's value.
+_FREE, _DESIGNATED, _UNDESIGNATED, _EMPTY = range(4)
+
+
 class _Search:
+    """Backtracking search for the least countermodel.
+
+    The constructor compiles the closure (see the module docstring); after
+    it, no method touches a formula.
+    """
+
     def __init__(self, matrix: Nmatrix, premises: Sequence[Formula],
                  goal: Formula):
-        self.matrix = matrix
-        self.malg = matrix.malg
-        self.designated = matrix.designated
+        malg = matrix.malg
+        k = malg.size
         self.closure = subformula_closure(list(premises) + [goal])
-        self.node_of = {f: i for i, f in enumerate(self.closure)}
-        self.premises = frozenset(premises)
-        self.goal = goal
+        node_of = {f: i for i, f in enumerate(self.closure)}
+        self.carrier = tuple(range(k))
+        self.is_designated = [u in matrix.designated for u in range(k)]
+        self.tables: list[Optional[dict]] = []
+        self.kids: list[tuple[int, ...]] = []
+        slot_sets: list[set[tuple[str, int]]] = [set() for _ in self.closure]
+        for f in self.closure:
+            if isinstance(f, Var):
+                self.tables.append(None)
+                self.kids.append(())
+                continue
+            self.tables.append(malg.tables[f.op])
+            kids = ((node_of[f.child],) if isinstance(f, Unary)
+                    else (node_of[f.left], node_of[f.right]))
+            self.kids.append(kids)
+            for slot, child in enumerate(kids):
+                slot_sets[child].add((f.op, slot))
+        self.want = [_FREE] * len(self.closure)
+        for p in premises:
+            self.want[node_of[p]] = _DESIGNATED
+        g = node_of[goal]
+        self.want[g] = _EMPTY if self.want[g] == _DESIGNATED else _UNDESIGNATED
         self.vals: list[Optional[int]] = [None] * len(self.closure)
 
         slots = _slot_partitions(matrix)
-        k = self.malg.size
-        slot_sets: list[set[tuple[str, int]]] = [set() for _ in self.closure]
-        for f in self.closure:
-            if isinstance(f, Unary):
-                slot_sets[self.node_of[f.child]].add((f.op, 0))
-            elif isinstance(f, Binary):
-                slot_sets[self.node_of[f.left]].add((f.op, 0))
-                slot_sets[self.node_of[f.right]].add((f.op, 1))
         self.partition: list[Optional[tuple[int, ...]]] = []
         for used in slot_sets:
             if not used:
@@ -198,22 +227,25 @@ class _Search:
             self.partition.append(_canon(
                 [tuple(slots[s][u] for s in keys) for u in range(k)]))
 
-    def candidates(self, i: int) -> list[int]:
-        f = self.closure[i]
-        vals = self.vals
-        if isinstance(f, Var):
-            cell: Sequence[int] = range(self.malg.size)
-        elif isinstance(f, Unary):
-            cell = self.malg.tables[f.op][(vals[self.node_of[f.child]],)]
+    def candidates(self, i: int) -> Sequence[int]:
+        table = self.tables[i]
+        if table is None:
+            cell: Sequence[int] = self.carrier
         else:
-            cell = self.malg.tables[f.op][
-                (vals[self.node_of[f.left]], vals[self.node_of[f.right]])]
-        out = list(cell)
-        if f in self.premises:
-            out = [u for u in out if u in self.designated]
-        if f == self.goal:
-            out = [u for u in out if u not in self.designated]
-        return out
+            kids = self.kids[i]
+            vals = self.vals
+            if len(kids) == 1:
+                cell = table[(vals[kids[0]],)]
+            else:
+                cell = table[(vals[kids[0]], vals[kids[1]])]
+        want = self.want[i]
+        if want == _FREE:
+            return cell
+        if want == _DESIGNATED:
+            return [u for u in cell if self.is_designated[u]]
+        if want == _UNDESIGNATED:
+            return [u for u in cell if not self.is_designated[u]]
+        return ()
 
     def search(self, i: int) -> bool:
         """Fill nodes i.. with a countermodel extension, if one exists."""

@@ -102,7 +102,7 @@ class SwapStructure:
     """A multialgebra whose carrier is decoded as snapshots over an algebra."""
 
     __slots__ = ("logic", "algebra", "malg", "snapshots", "index_of",
-                 "_nmatrix")
+                 "_nmatrix", "_validity")
 
     def __init__(self, logic: LogicId, algebra: BoolAlg, malg: MultiAlg,
                  snapshots: Sequence[Snapshot]):
@@ -114,6 +114,7 @@ class SwapStructure:
         self.snapshots = tuple(snapshots)
         self.index_of = {z: i for i, z in enumerate(self.snapshots)}
         self._nmatrix = None
+        self._validity = None
 
     @property
     def pair_mode(self) -> bool:
@@ -346,10 +347,23 @@ def validates(structure: SwapStructure, schema: Formula) -> bool:
 
 
 def characterize(logic: LogicId, cand: SwapStructure) -> bool:
-    """Axiomatic-side membership: base structure plus the defining schemas."""
+    """Axiomatic-side membership: base structure plus the defining schemas.
+
+    The logics share most defining schemas, so each schema's validity is
+    memoized on the candidate by schema name; checking all eight logics on
+    one candidate decides each distinct schema once.
+    """
     if not is_swap_for(LogicId.CPLE_PLUS, cand):
         return False
-    return all(validates(cand, SCHEMAS[name]) for name in DEFINING_SCHEMAS[logic])
+    if cand._validity is None:
+        cand._validity = {}
+    memo = cand._validity
+    for name in DEFINING_SCHEMAS[logic]:
+        if name not in memo:
+            memo[name] = validates(cand, SCHEMAS[name])
+        if not memo[name]:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -425,13 +439,6 @@ def power_of_a2(logic: LogicId, n: int) -> MultiAlg:
         got, _ = ma_product([factor] * n)
         _power_cache[(logic, n)] = got
     return got
-
-
-def clear_caches() -> None:
-    _power_cache.clear()
-    universe.cache_clear()
-    _universe_ops.cache_clear()
-    full_swap.cache_clear()
 
 
 def represent(logic: LogicId, structure: SwapStructure) -> Representation:

@@ -156,17 +156,23 @@ def random_proof(rng: random.Random, logic: LogicId, max_steps: int = 12,
 # Brute-force consequence oracle
 # ----------------------------------------------------------------------
 
-def brute_force_countermodel_exists(matrix: Nmatrix, premises, goal,
-                                    limit: int = 500_000) -> bool:
-    """Enumerate every legal valuation on the closure, no pruning at all."""
+def brute_force_least_countermodel(matrix: Nmatrix, premises, goal,
+                                   limit: int = 500_000):
+    """The least countermodel in children-first closure order, or None.
+
+    Enumerates every legal valuation on the closure, no pruning at all,
+    trying each cell's values in increasing order, so the first valuation
+    that designates the premises and not the goal is the least one.
+    """
     from swapkit.formula import subformula_closure
     closure = subformula_closure(list(premises) + [goal])
     tables = matrix.malg.tables
     D = matrix.designated
     prem = set(premises)
+    vals: dict[Formula, int] = {}
     paths = 0
 
-    def rec(i, vals):
+    def rec(i):
         nonlocal paths
         if i == len(closure):
             return True
@@ -177,7 +183,7 @@ def brute_force_countermodel_exists(matrix: Nmatrix, premises, goal,
             cell = tables[f.op][(vals[f.child],)]
         else:
             cell = tables[f.op][(vals[f.left], vals[f.right])]
-        for u in cell:
+        for u in sorted(cell):
             paths += 1
             if paths > limit:
                 raise RuntimeError("oracle blew its enumeration limit")
@@ -186,12 +192,12 @@ def brute_force_countermodel_exists(matrix: Nmatrix, premises, goal,
             if f == goal and u in D:
                 continue
             vals[f] = u
-            if rec(i + 1, vals):
+            if rec(i + 1):
                 return True
-            del vals[f]
+        vals.pop(f, None)
         return False
 
-    return rec(0, {})
+    return dict(vals) if rec(0) else None
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,29 @@ def test_decide_usage_errors():
     assert code == 2  # no single finite characteristic matrix
 
 
+def test_deeply_nested_formulas():
+    # depth 300 is decided; depth 3000 is past the interpreter's recursion
+    # limit and must end in a one-line error, not a traceback
+    deep = "~" * 300 + "p"
+    code, text = capture(["decide", "mbc", deep])
+    assert code == 1 and text.endswith(f"  {deep} = F\n")
+    code, text = capture(["decide", "mbc", "~" * 3000 + "p"])
+    assert (code, text) == (2, "error: formula nested too deeply\n")
+
+
+def test_malformed_cell_cap_is_a_usage_error():
+    import os
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapkit.cli", "represent", "mbc", "--atoms", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "SWAPKIT_MAX_CELLS": "abc"})
+    assert proc.returncode == 2
+    assert proc.stdout == ("error: SWAPKIT_MAX_CELLS must be a positive "
+                           "integer, got 'abc'\n")
+
+
 def test_check_proof_paths(tmp_path):
     good = Path(__file__).parent / "proofs" / "bottom.proof"
     code, text = capture(["check-proof", "mbc", str(good)])

@@ -7,8 +7,8 @@ from swapkit.boolalg import A2
 from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
 from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
-                              SignatureMismatch, compose_maps, direct_image,
-                              epi_mono_factorize, identity_map,
+                              SignatureMismatch, cell_cap, compose_maps,
+                              direct_image, epi_mono_factorize, identity_map,
                               is_epimorphism, is_full_homomorphism,
                               is_homomorphism, is_isomorphism,
                               is_multicongruence, is_submultialgebra,
@@ -189,6 +189,21 @@ def test_ma_product_cap():
     m = m5()
     with pytest.raises(CellCapExceeded):
         ma_product([m] * 8, cap=10 ** 4)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_cell_cap_rejects_malformed_environment(monkeypatch, value):
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", value)
+    with pytest.raises(ValueError, match="SWAPKIT_MAX_CELLS must be a "
+                                         "positive integer"):
+        cell_cap()
+
+
+def test_cell_cap_reads_environment(monkeypatch):
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "1234")
+    assert cell_cap() == 1234
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS")
+    assert cell_cap() == 10 ** 6
 
 
 def test_direct_image_identity_and_inclusion():

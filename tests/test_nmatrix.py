@@ -188,7 +188,7 @@ def test_structurality_random_substitutions():
 
 
 def test_decide_agrees_with_brute_force_enumeration():
-    from helpers import brute_force_countermodel_exists
+    from helpers import brute_force_least_countermodel
     rng = random.Random(77)
     checked = 0
     matrices = [characteristic_matrix(lg)
@@ -199,8 +199,8 @@ def test_decide_agrees_with_brute_force_enumeration():
                     for _ in range(rng.randrange(3))]
         goal = random_formula(rng, ["p", "q"], 3)
         try:
-            exists = brute_force_countermodel_exists(matrix, premises, goal,
-                                                     limit=300_000)
+            exists = brute_force_least_countermodel(
+                matrix, premises, goal, limit=300_000) is not None
         except RuntimeError:
             continue
         verdict = decide(matrix, premises, goal)
@@ -214,7 +214,7 @@ def test_decide_agrees_with_brute_force_enumeration():
 
 
 def test_decide_agrees_with_brute_force_on_substructures():
-    from helpers import brute_force_countermodel_exists
+    from helpers import brute_force_least_countermodel
     from swapkit.nmatrix import nmatrix_of as build
     rng = random.Random(78)
     checked = 0
@@ -228,8 +228,8 @@ def test_decide_agrees_with_brute_force_on_substructures():
                     for _ in range(rng.randrange(2))]
         goal = random_formula(rng, ["p", "q"], 3)
         try:
-            exists = brute_force_countermodel_exists(matrix, premises, goal,
-                                                     limit=300_000)
+            exists = brute_force_least_countermodel(
+                matrix, premises, goal, limit=300_000) is not None
         except RuntimeError:
             continue
         assert decide(matrix, premises, goal).holds == (not exists)

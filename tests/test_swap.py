@@ -143,6 +143,28 @@ def test_characterize_examples():
     assert characterize(L.CPLE_PLUS, full_swap(L.CPLE_PLUS, P2))
 
 
+def test_characterize_memo_is_order_free_and_per_structure():
+    logics = list(L)
+    rng = random.Random(23)
+    for _ in range(24):
+        logic = rng.choice(logics)
+        algebra = rng.choice((A2, P2))
+        seed = rng.getrandbits(32)
+        forward = random_swap_substructure(random.Random(seed), logic,
+                                           algebra, max_universe=8)
+        expected = [is_swap_for(lg, forward) for lg in logics]
+        assert [characterize(lg, forward) for lg in logics] == expected
+        backward = random_swap_substructure(random.Random(seed), logic,
+                                            algebra, max_universe=8)
+        assert backward._validity is None
+        assert [characterize(lg, backward)
+                for lg in reversed(logics)] == expected[::-1]
+    # structures that differ on a schema keep separate answers
+    assert characterize(L.CIORE, full_swap(L.CIORE, A2))
+    assert not characterize(L.CIORE, full_swap(L.MBC, A2))
+    assert characterize(L.CIORE, full_swap(L.CIORE, A2))
+
+
 def test_characterize_matches_structural_on_closed_restrictions():
     from swapkit.swap import closed_subuniverse_restrictions
     for logic in (L.MBCCIW, L.CI, L.LFI1O):
