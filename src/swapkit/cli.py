@@ -14,7 +14,7 @@ from .boolalg import powerset_algebra
 from .formula import ParseError, parse, to_text
 from .hilbert import check_proof, parse_proof
 from .logics import LogicId, parse_logic
-from .multialg import is_multicongruence
+from .multialg import arg_tuples, is_multicongruence
 from .nmatrix import UnsupportedLogicError, decide_logic
 from .swap import (duality_star, find_swap_decoding, full_swap,
                    kalman_classic, kleene_law_failures,
@@ -84,6 +84,10 @@ def run(argv=None, out=None) -> int:
         return 2
     except RecursionError:
         print("error: formula nested too deeply", file=out)
+        return 2
+    except MemoryError:
+        print("error: out of memory (lower --atoms or SWAPKIT_MAX_CELLS)",
+              file=out)
         return 2
 
 
@@ -229,9 +233,8 @@ def _cmd_quotient_demo(args, out) -> int:
     labels = m5.malg.labels
     blocks = [" ".join(labels[x] for x in block) for block in theta.blocks()]
     congruent = is_multicongruence(theta, m5.malg)
-    cells_trivial = all(cell == (0, 1)
-                        for table in quot.tables.values()
-                        for cell in table.values())
+    cells_trivial = all(cell == 0b11
+                        for table in quot.tables.values() for cell in table)
     full_hom = is_full_homomorphism(proj)
     decoding = find_swap_decoding(LogicId.MBC, quot, m5.algebra)
     escaped = decoding is None
@@ -253,9 +256,10 @@ def _cmd_quotient_demo(args, out) -> int:
     print("quotient cells:", file=out)
     qlabels = quot.labels
     for op in ("&", "|", "->", "~", "@"):
-        table = quot.tables[op]
-        for targs, cell in sorted(table.items()):
+        arity = quot.signature.arity_of(op)
+        for targs in arg_tuples(quot.size, arity):
             arg_text = ",".join(qlabels[a] for a in targs)
+            cell = quot.cell(op, targs)
             cell_text = "{" + ",".join(qlabels[u] for u in cell) + "}"
             print(f"  {op}({arg_text}) = {cell_text}", file=out)
     print(f"projection is a full homomorphism: {full_hom}", file=out)

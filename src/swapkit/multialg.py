@@ -7,9 +7,17 @@ contained in the corresponding target cell, and a full homomorphism when the
 two are equal.  At finite scale, isomorphisms are the bijective full
 homomorphisms and epimorphisms are the surjective homomorphisms.
 
-Cells are stored as sorted index tuples, interned per structure, so equality
-of multialgebras is plain structural equality and repeated cell comparisons
-are cheap.
+Tables are flat and cells are bitmasks.  Over a carrier of k elements,
+``tables[op]`` is one row-major list of k**arity cells: a binary operator's
+cell at (i, j) sits at position i*k + j, a unary one's at (i,) at i and a
+constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
+cell is an int whose bit u is set when carrier element u belongs to it.
+Equal cells are one interned int per structure, so a cell costs one list
+slot, equality of multialgebras is plain list equality, and memos key on the
+cell value.  Membership is a shift and a mask, the image of a cell and the
+union of cells are ``|``, and containment is ``a & ~b == 0``.
+``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
+``mask_of`` convert either way.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .formula import Signature
 
@@ -46,53 +54,90 @@ class CellCapExceeded(ValueError):
     pass
 
 
+def members(cell: int) -> tuple[int, ...]:
+    """The carrier indices in a cell bitmask, ascending."""
+    out = []
+    while cell:
+        low = cell & -cell
+        out.append(low.bit_length() - 1)
+        cell ^= low
+    return tuple(out)
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """The cell bitmask of a set of carrier indices."""
+    mask = 0
+    for u in indices:
+        mask |= 1 << u
+    return mask
+
+
+def arg_tuples(size: int, arity: int) -> Iterator[tuple[int, ...]]:
+    """Argument tuples over a carrier of ``size`` elements, in table order."""
+    return iproduct(range(size), repeat=arity)
+
+
+def _mapped_positions(mapping: Sequence[int], arity: int,
+                      size: int) -> list[int]:
+    """For each argument tuple of the map's source, in table order, the table
+    position of its image in a table over ``size`` elements."""
+    positions = [0]
+    for _ in range(arity):
+        positions = [p * size + m for p in positions for m in mapping]
+    return positions
+
+
+def _image(cell: int, mapping: Sequence[int]) -> int:
+    img = 0
+    for x in members(cell):
+        img |= 1 << mapping[x]
+    return img
+
+
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator."""
 
     __slots__ = ("signature", "labels", "tables")
 
     def __init__(self, signature: Signature, labels: Sequence[str],
-                 tables: dict[str, dict[tuple[int, ...], Iterable[int]]]):
+                 tables: dict[str, Sequence[int]]):
         self.signature = signature
         self.labels = tuple(labels)
         size = len(self.labels)
-        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        by_identity: dict[int, tuple[int, ...]] = {}
-        normalized: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        interned: dict[int, int] = {}
+        flat: dict[str, list[int]] = {}
         for op, arity in signature.operators():
             table = tables.get(op)
             if table is None:
                 raise ValueError(f"missing table for operator {op!r}")
-            norm: dict[tuple[int, ...], tuple[int, ...]] = {}
             expected = size ** arity
             if len(table) != expected:
                 raise ValueError(
                     f"table for {op!r} has {len(table)} cells, expected {expected}")
-            for args, raw in table.items():
-                # shared cell objects normalize once; identity lookup keeps
-                # large interned tables cheap to rebuild
-                cell = by_identity.get(id(raw))
-                if cell is None:
-                    cell = tuple(sorted(set(raw)))
-                    if not cell:
-                        raise ValueError(f"empty cell at {op!r}{args}")
-                    if cell[0] < 0 or cell[-1] >= size:
-                        raise ValueError(f"cell at {op!r}{args} out of range")
-                    cell = interned.setdefault(cell, cell)
-                    by_identity[id(raw)] = cell
-                    by_identity[id(cell)] = cell
-                if len(args) != arity or any(not 0 <= a < size for a in args):
-                    raise ValueError(f"bad argument tuple {args} for {op!r}")
-                norm[args] = cell
-            normalized[op] = norm
-        self.tables = normalized
+            for cell in set(table).difference(interned):
+                if not isinstance(cell, int) or cell <= 0 or cell >> size:
+                    at = next(args for args, c in
+                              zip(arg_tuples(size, arity), table) if c == cell)
+                    what = "empty" if cell == 0 else "invalid"
+                    raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
+                interned[cell] = cell
+            flat[op] = list(map(interned.__getitem__, table))
+        self.tables = flat
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def cell(self, op: str, args: tuple[int, ...]) -> tuple[int, ...]:
-        return self.tables[op][args]
+        """The members of the cell at an argument tuple, ascending."""
+        size = len(self.labels)
+        if (len(args) != self.signature.arity_of(op)
+                or not all(0 <= a < size for a in args)):
+            raise IndexError(f"bad argument tuple {args} for {op!r}")
+        pos = 0
+        for a in args:
+            pos = pos * size + a
+        return members(self.tables[op][pos])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MultiAlg)
@@ -115,8 +160,9 @@ class MultiAlg:
                "binary": list(self.signature.binary)}
         ops = {}
         for op, arity in self.signature.operators():
-            table = {",".join(map(str, args)): list(cell)
-                     for args, cell in sorted(self.tables[op].items())}
+            table = {",".join(map(str, args)): list(members(cell))
+                     for args, cell in zip(arg_tuples(self.size, arity),
+                                           self.tables[op])}
             ops[op] = {"arity": arity, "table": table}
         return {"signature": sig, "carrier": list(self.labels), "ops": ops}
 
@@ -147,6 +193,24 @@ def compose_maps(f: MaMap, g: MaMap) -> MaMap:
     return MaMap(g.source, f.target, tuple(f.mapping[x] for x in g.mapping))
 
 
+def _cells_map_into(source: MultiAlg, target: MultiAlg,
+                    mapping: Sequence[int], full: bool) -> bool:
+    """Is the image of every source cell inside (equal to, when full) the
+    target cell at the mapped arguments?  Each distinct pair of source and
+    target cells is tested once."""
+    images: dict[int, int] = {}
+    for op, arity in source.signature.operators():
+        tgt = target.tables[op]
+        at = map(tgt.__getitem__, _mapped_positions(mapping, arity, target.size))
+        for cell, tgt_cell in set(zip(source.tables[op], at)):
+            img = images.get(cell)
+            if img is None:
+                img = images[cell] = _image(cell, mapping)
+            if img != tgt_cell if full else img & ~tgt_cell:
+                return False
+    return True
+
+
 def is_submultialgebra(sub: MultiAlg, sup: MultiAlg,
                        embedding: Sequence[int]) -> bool:
     """Is every cell of ``sub``, read through the embedding, inside ``sup``'s?"""
@@ -154,45 +218,14 @@ def is_submultialgebra(sub: MultiAlg, sup: MultiAlg,
     emb = tuple(embedding)
     if len(emb) != sub.size or len(set(emb)) != sub.size:
         raise ValueError("embedding must be injective and total")
-    sup_sets: dict[int, frozenset[int]] = {}
-    for op, _arity in sub.signature.operators():
-        for args, cell in sub.tables[op].items():
-            sup_cell = sup.tables[op][tuple(emb[a] for a in args)]
-            key = id(sup_cell)
-            members = sup_sets.get(key)
-            if members is None:
-                members = sup_sets[key] = frozenset(sup_cell)
-            if any(emb[x] not in members for x in cell):
-                return False
-    return True
+    return _cells_map_into(sub, sup, emb, full=False)
 
 
 def _check_hom(f: MaMap, full: bool) -> bool:
     _require_same_signature(f.source, f.target)
-    mapping = f.mapping
-    if len(mapping) != f.source.size:
+    if len(f.mapping) != f.source.size:
         raise ValueError("map must be total on the source carrier")
-    memo: dict[tuple[int, int], bool] = {}
-    images: dict[int, frozenset[int]] = {}
-    tgt_sets: dict[int, frozenset[int]] = {}
-    for op, _arity in f.source.signature.operators():
-        src_table = f.source.tables[op]
-        tgt_table = f.target.tables[op]
-        for args, cell in src_table.items():
-            tgt_cell = tgt_table[tuple(mapping[a] for a in args)]
-            key = (id(cell), id(tgt_cell))
-            ok = memo.get(key)
-            if ok is None:
-                img = images.get(id(cell))
-                if img is None:
-                    img = images[id(cell)] = frozenset(mapping[x] for x in cell)
-                tset = tgt_sets.get(id(tgt_cell))
-                if tset is None:
-                    tset = tgt_sets[id(tgt_cell)] = frozenset(tgt_cell)
-                ok = memo[key] = (img == tset) if full else (img <= tset)
-            if not ok:
-                return False
-    return True
+    return _cells_map_into(f.source, f.target, f.mapping, full)
 
 
 def is_homomorphism(f: MaMap) -> bool:
@@ -217,11 +250,50 @@ def is_epimorphism(f: MaMap) -> bool:
     return is_homomorphism(f)
 
 
+class _KronRow(dict):
+    """Product cells of one left cell with each right cell, made on demand."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, left: int, right_size: int):
+        super().__init__()
+        self.shifts = [x * right_size for x in members(left)]
+
+    def __missing__(self, right: int) -> int:
+        cell = 0
+        for shift in self.shifts:
+            cell |= right << shift
+        self[right] = cell
+        return cell
+
+
+def _kron_table(left: list[int], p: int, right: list[int], q: int,
+                arity: int) -> list[int]:
+    """One operator's table on the product of a p- and a q-element carrier,
+    whose element (x, y) has index x*q + y."""
+    rows = {a: _KronRow(a, q) for a in set(left)}
+    if arity == 0:
+        return [rows[left[0]][right[0]]]
+    out: list[int] = []
+    # (left, right) positions of every argument prefix but the last argument
+    prefixes = [(0, 0)]
+    for _ in range(arity - 1):
+        prefixes = [(i * p + x, j * q + y)
+                    for i, j in prefixes for x in range(p) for y in range(q)]
+    for i, j in prefixes:
+        right_row = right[j * q:(j + 1) * q]
+        for x in range(i * p, (i + 1) * p):
+            out.extend(map(rows[left[x]].__getitem__, right_row))
+    return out
+
+
 def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
                signature: Optional[Signature] = None
                ) -> tuple[MultiAlg, list[MaMap]]:
     """Componentwise product with full-homomorphism projections.
 
+    The carrier is ordered like ``itertools.product`` of the factors'
+    carriers.  Tables are folded in from the left, one factor at a time.
     The empty product is the one-element terminal multialgebra; pass the
     signature explicitly for that case.
     """
@@ -248,69 +320,18 @@ def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
             f"product would need {cells} cells, above the cap {cap} "
             "(set SWAPKIT_MAX_CELLS to raise it)")
 
-    carrier = list(iproduct(*[range(s) for s in sizes]))
-    index_of = {t: i for i, t in enumerate(carrier)}
-    labels = ["(" + ",".join(f.labels[c] for f, c in zip(factors, t)) + ")"
-              for t in carrier]
-
-    prod_cell_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def product_cell(parts) -> tuple[int, ...]:
-        key = tuple(id(p) for p in parts)
-        cached = prod_cell_memo.get(key)
-        if cached is None:
-            cached = prod_cell_memo[key] = tuple(sorted(
-                index_of[combo] for combo in iproduct(*parts)))
-        return cached
-
-    tables: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    labels = ["(" + ",".join(parts) + ")"
+              for parts in iproduct(*[f.labels for f in factors])]
+    tables: dict[str, list[int]] = {}
     for op, arity in sig.operators():
-        table: dict[tuple[int, ...], tuple[int, ...]] = {}
-        if arity == 0:
-            table[()] = product_cell([f.tables[op][()] for f in factors])
-        elif arity == 1:
-            for i, t in enumerate(carrier):
-                table[(i,)] = product_cell([
-                    f.tables[op][(c,)] for f, c in zip(factors, t)])
-        elif len(factors) == 2:
-            flat0, flat1 = (_flat_binary(f, op) for f in factors)
-            s0, s1 = sizes
-            memo = prod_cell_memo
-            for i, (a0, a1) in enumerate(carrier):
-                row0, row1 = flat0[a0 * s0:], flat1[a1 * s1:]
-                for j, (b0, b1) in enumerate(carrier):
-                    c0, c1 = row0[b0], row1[b1]
-                    key = (id(c0), id(c1))
-                    cell = memo.get(key)
-                    if cell is None:
-                        cell = memo[key] = tuple(sorted(
-                            index_of[combo] for combo in iproduct(c0, c1)))
-                    table[(i, j)] = cell
-        elif len(factors) == 3:
-            flat0, flat1, flat2 = (_flat_binary(f, op) for f in factors)
-            s0, s1, s2 = sizes
-            memo = prod_cell_memo
-            for i, (a0, a1, a2) in enumerate(carrier):
-                row0 = flat0[a0 * s0:]
-                row1 = flat1[a1 * s1:]
-                row2 = flat2[a2 * s2:]
-                for j, (b0, b1, b2) in enumerate(carrier):
-                    c0, c1, c2 = row0[b0], row1[b1], row2[b2]
-                    key = (id(c0), id(c1), id(c2))
-                    cell = memo.get(key)
-                    if cell is None:
-                        cell = memo[key] = tuple(sorted(
-                            index_of[combo] for combo in iproduct(c0, c1, c2)))
-                    table[(i, j)] = cell
-        else:
-            for i, ti in enumerate(carrier):
-                for j, tj in enumerate(carrier):
-                    table[(i, j)] = product_cell([
-                        f.tables[op][(a, b)]
-                        for f, a, b in zip(factors, ti, tj)])
+        table, size = factors[0].tables[op], factors[0].size
+        for f in factors[1:]:
+            table = _kron_table(table, size, f.tables[op], f.size, arity)
+            size *= f.size
         tables[op] = table
 
     prod = MultiAlg(sig, labels, tables)
+    carrier = list(iproduct(*[range(s) for s in sizes]))
     projections = [
         MaMap(prod, factor, tuple(t[k] for t in carrier))
         for k, factor in enumerate(factors)
@@ -318,18 +339,28 @@ def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
     return prod, projections
 
 
-def _flat_binary(factor: MultiAlg, op: str) -> list[tuple[int, ...]]:
-    s = factor.size
-    t = factor.tables[op]
-    return [t[(a, b)] for a in range(s) for b in range(s)]
-
-
 def ma_terminal(signature: Signature) -> MultiAlg:
     """The one-element multialgebra: every cell is the whole (single) carrier."""
-    tables: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for op, arity in signature.operators():
-        tables[op] = {(0,) * arity: (0,)}
-    return MultiAlg(signature, ("*",), tables)
+    return MultiAlg(signature, ("*",),
+                    {op: [1] for op, _arity in signature.operators()})
+
+
+def _pushed_tables(algebra: MultiAlg, mapping: Sequence[int],
+                   size: int) -> dict[str, list[int]]:
+    """Tables over ``size`` elements whose cell at each tuple is the union of
+    the cell images over the tuple's preimages under the map."""
+    images: dict[int, int] = {}
+    tables: dict[str, list[int]] = {}
+    for op, arity in algebra.signature.operators():
+        table = [0] * size ** arity
+        for pos, cell in zip(_mapped_positions(mapping, arity, size),
+                             algebra.tables[op]):
+            img = images.get(cell)
+            if img is None:
+                img = images[cell] = _image(cell, mapping)
+            table[pos] |= img
+        tables[op] = table
+    return tables
 
 
 def direct_image(f: MaMap) -> tuple[MultiAlg, MaMap, MaMap]:
@@ -342,24 +373,14 @@ def direct_image(f: MaMap) -> tuple[MultiAlg, MaMap, MaMap]:
         raise ValueError("map is not a homomorphism")
     image_indices = sorted(set(f.mapping))
     pos = {t: k for k, t in enumerate(image_indices)}
-    sig = f.source.signature
-
-    tables: dict[str, dict[tuple[int, ...], set[int]]] = {
-        op: {} for op, _ in sig.operators()}
-    for op, _arity in sig.operators():
-        table = tables[op]
-        for args, cell in f.source.tables[op].items():
-            img_args = tuple(pos[f.mapping[a]] for a in args)
-            bucket = table.get(img_args)
-            if bucket is None:
-                bucket = table[img_args] = set()
-            bucket.update(pos[f.mapping[x]] for x in cell)
+    onto_mapping = tuple(pos[t] for t in f.mapping)
+    tables = _pushed_tables(f.source, onto_mapping, len(image_indices))
 
     labels = [f.target.labels[t] for t in image_indices]
-    image = MultiAlg(sig, labels, tables)
+    image = MultiAlg(f.source.signature, labels, tables)
     if not is_submultialgebra(image, f.target, image_indices):
         raise AssertionError("direct image escaped the target cells")
-    onto = MaMap(f.source, image, tuple(pos[t] for t in f.mapping))
+    onto = MaMap(f.source, image, onto_mapping)
     inclusion = MaMap(image, f.target, tuple(image_indices))
     return image, onto, inclusion
 
@@ -391,8 +412,8 @@ class EquivRel:
     def from_blocks(cls, blocks: Sequence[Sequence[int]], size: int,
                     labels: Optional[Sequence[str]] = None) -> "EquivRel":
         assign = [-1] * size
-        for b, members in enumerate(blocks):
-            for x in members:
+        for b, block in enumerate(blocks):
+            for x in block:
                 if not 0 <= x < size or assign[x] != -1:
                     raise ValueError("blocks must partition the carrier")
                 assign[x] = b
@@ -417,20 +438,17 @@ def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
     if len(rel.block_of) != algebra.size:
         raise ValueError("partition is over the wrong carrier")
     block = rel.block_of
+    images: dict[int, int] = {}
     for op, arity in algebra.signature.operators():
-        if arity == 0:
-            cell = algebra.tables[op][()]
-            if len({block[x] for x in cell}) > 1:
+        seen: dict[int, int] = {}
+        positions = _mapped_positions(block, arity, rel.block_count)
+        for pos, cell in set(zip(positions, algebra.tables[op])):
+            img = images.get(cell)
+            if img is None:
+                img = images[cell] = _image(cell, block)
+            if arity == 0 and img & (img - 1):
                 return False
-            continue
-        seen: dict[tuple[int, ...], frozenset[int]] = {}
-        for args, cell in algebra.tables[op].items():
-            key = tuple(block[a] for a in args)
-            blocks_here = frozenset(block[x] for x in cell)
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = blocks_here
-            elif prev != blocks_here:
+            if seen.setdefault(pos, img) != img:
                 return False
     return True
 
@@ -444,18 +462,7 @@ def quotient(algebra: MultiAlg, rel: EquivRel) -> tuple[MultiAlg, MaMap]:
     """
     if not is_multicongruence(rel, algebra):
         raise ValueError("relation is not a multicongruence")
-    block = rel.block_of
-    sig = algebra.signature
-    tables: dict[str, dict[tuple[int, ...], set[int]]] = {}
-    for op, arity in sig.operators():
-        table: dict[tuple[int, ...], set[int]] = {}
-        for args, cell in algebra.tables[op].items():
-            key = tuple(block[a] for a in args)
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = set()
-            bucket.update(block[x] for x in cell)
-        tables[op] = table
-    quot = MultiAlg(sig, rel.block_labels, tables)
-    proj = MaMap(algebra, quot, block)
+    tables = _pushed_tables(algebra, rel.block_of, rel.block_count)
+    quot = MultiAlg(algebra.signature, rel.block_labels, tables)
+    proj = MaMap(algebra, quot, rel.block_of)
     return quot, proj

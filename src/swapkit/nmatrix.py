@@ -15,10 +15,11 @@ Each query is compiled once: the closure becomes a children-first list of
 nodes, each carrying its operator's table (none for a variable), the indices
 of its children and a want-code saying whether the countermodel must
 designate it (a premise), must not (the goal), must do both, which no value
-can (the goal is also a premise), or is free.  The search reads only those
-ints and lists: no formula is hashed or compared after compilation, because
-the recursive hash and equality of formula trees would otherwise dominate
-its cost.
+can (the goal is also a premise, so the query holds without a search), or
+is free.  The search reads only those ints and lists, with the tables' cells
+masked by the want-code's admissible values: no formula is hashed or
+compared after compilation, because the recursive hash and equality of
+formula trees would otherwise dominate its cost.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .boolalg import A2
 from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary, Var,
                       circ, neg, subformula_closure, to_text)
 from .logics import LogicId
-from .multialg import MultiAlg
+from .multialg import MultiAlg, mask_of, members
 from .swap import SwapStructure, full_swap
 
 
@@ -89,18 +90,18 @@ class PartialValuation:
 
 def is_legal_valuation(pv: PartialValuation) -> bool:
     """Totality on the domain plus membership of each compound in its cell."""
-    tables = pv.matrix.malg.tables
+    malg = pv.matrix.malg
     vals = pv.values
     for f in pv.domain:
         if f not in vals:
             return False
         if isinstance(f, Unary):
-            if f.child not in vals or vals[f] not in tables[f.op][(vals[f.child],)]:
+            if f.child not in vals or vals[f] not in malg.cell(f.op, (vals[f.child],)):
                 return False
         elif isinstance(f, Binary):
             if f.left not in vals or f.right not in vals:
                 return False
-            if vals[f] not in tables[f.op][(vals[f.left], vals[f.right])]:
+            if vals[f] not in malg.cell(f.op, (vals[f.left], vals[f.right])):
                 return False
     return True
 
@@ -114,16 +115,16 @@ def extend_valuation(pv: PartialValuation,
     """
     domain = tuple(subformula_closure(list(pv.domain) + list(formulas)))
     values = dict(pv.values)
-    tables = pv.matrix.malg.tables
+    malg = pv.matrix.malg
     for f in domain:
         if f in values:
             continue
         if isinstance(f, Var):
             values[f] = 0
         elif isinstance(f, Unary):
-            values[f] = tables[f.op][(values[f.child],)][0]
+            values[f] = malg.cell(f.op, (values[f.child],))[0]
         else:
-            values[f] = tables[f.op][(values[f.left], values[f.right])][0]
+            values[f] = malg.cell(f.op, (values[f.left], values[f.right]))[0]
     return PartialValuation(pv.matrix, domain, values)
 
 
@@ -155,11 +156,10 @@ def _slot_partitions(matrix: Nmatrix) -> dict[tuple[str, int], tuple[int, ...]]:
     for op, arity in malg.signature.operators():
         table = malg.tables[op]
         if arity == 1:
-            signatures = [id(table[(u,)]) for u in range(k)]
-            parts[(op, 0)] = _canon(signatures)
+            parts[(op, 0)] = _canon(table)
         elif arity == 2:
-            rows = [tuple(id(table[(u, w)]) for w in range(k)) for u in range(k)]
-            cols = [tuple(id(table[(w, u)]) for w in range(k)) for u in range(k)]
+            rows = [tuple(table[u * k:(u + 1) * k]) for u in range(k)]
+            cols = [tuple(table[u::k]) for u in range(k)]
             parts[(op, 0)] = _canon(rows)
             parts[(op, 1)] = _canon(cols)
     matrix._slots_cache = parts
@@ -191,12 +191,16 @@ class _Search:
     def __init__(self, matrix: Nmatrix, premises: Sequence[Formula],
                  goal: Formula):
         malg = matrix.malg
-        k = malg.size
+        k = self.size = malg.size
         self.closure = subformula_closure(list(premises) + [goal])
         node_of = {f: i for i, f in enumerate(self.closure)}
-        self.carrier = tuple(range(k))
-        self.is_designated = [u in matrix.designated for u in range(k)]
-        self.tables: list[Optional[dict]] = []
+        self.carrier = (1 << k) - 1
+        designated = mask_of(matrix.designated)
+        #: want-code -> the values it admits
+        self.admits = (self.carrier, designated, self.carrier & ~designated, 0)
+        #: admitted cell -> its members, ascending
+        self.decoded: dict[int, tuple[int, ...]] = {}
+        self.tables: list[Optional[list[int]]] = []
         self.kids: list[tuple[int, ...]] = []
         slot_sets: list[set[tuple[str, int]]] = [set() for _ in self.closure]
         for f in self.closure:
@@ -227,25 +231,22 @@ class _Search:
             self.partition.append(_canon(
                 [tuple(slots[s][u] for s in keys) for u in range(k)]))
 
-    def candidates(self, i: int) -> Sequence[int]:
+    def candidates(self, i: int) -> tuple[int, ...]:
         table = self.tables[i]
         if table is None:
-            cell: Sequence[int] = self.carrier
+            cell = self.carrier
         else:
             kids = self.kids[i]
             vals = self.vals
             if len(kids) == 1:
-                cell = table[(vals[kids[0]],)]
+                cell = table[vals[kids[0]]]
             else:
-                cell = table[(vals[kids[0]], vals[kids[1]])]
-        want = self.want[i]
-        if want == _FREE:
-            return cell
-        if want == _DESIGNATED:
-            return [u for u in cell if self.is_designated[u]]
-        if want == _UNDESIGNATED:
-            return [u for u in cell if not self.is_designated[u]]
-        return ()
+                cell = table[vals[kids[0]] * self.size + vals[kids[1]]]
+        cell &= self.admits[self.want[i]]
+        got = self.decoded.get(cell)
+        if got is None:
+            got = self.decoded[cell] = members(cell)
+        return got
 
     def search(self, i: int) -> bool:
         """Fill nodes i.. with a countermodel extension, if one exists."""
@@ -268,25 +269,20 @@ class _Search:
         self.vals[i] = None
         return False
 
-    def minimize(self) -> None:
-        """Rebuild the countermodel with lexicographically least values."""
-        n = len(self.closure)
-        for i in range(n):
-            for u in self.candidates(i):
-                self.vals[i] = u
-                if self.search(i + 1):
-                    break
-
 
 def decide(matrix: Nmatrix, premises: Sequence[Formula],
            goal: Formula) -> Verdict:
     """Is the goal designated under every legal valuation designating the
     premises?  On failure the countermodel returned is the least one in the
-    children-first closure order."""
+    children-first closure order.
+
+    A goal that is also a premise holds at once.  Otherwise the search tries
+    candidates in ascending order and skips only values interchangeable with
+    one that already failed, so the first countermodel it finds is the least.
+    """
     search = _Search(matrix, premises, goal)
-    if not search.search(0):
+    if _EMPTY in search.want or not search.search(0):
         return Verdict(True)
-    search.minimize()
     values = {f: search.vals[i] for i, f in enumerate(search.closure)}
     pv = PartialValuation(matrix, tuple(search.closure), values)
     return Verdict(False, pv)

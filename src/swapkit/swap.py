@@ -23,13 +23,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_
 from typing import Optional, Sequence
 
 from .boolalg import A2, BaHom, BoolAlg, ba_product, is_ba_hom
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .hilbert import DEFINING_SCHEMAS, SCHEMAS
 from .logics import LogicId
-from .multialg import EquivRel, MaMap, MultiAlg, quotient
+from .multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
+                       cell_cap, mask_of, members, quotient)
 
 Snapshot = tuple[int, ...]
 
@@ -136,22 +138,22 @@ class _UniverseOps:
         self.algebra = algebra
         self.snaps = universe(logic, algebra)
         self.index = {z: i for i, z in enumerate(self.snaps)}
-        classes: dict[int, list[int]] = {}
+        #: first coordinate -> cell of the snapshots with that first coordinate
+        self.first_class: dict[int, int] = {}
         for i, z in enumerate(self.snaps):
-            classes.setdefault(z[0], []).append(i)
-        self.first_class = {c: tuple(v) for c, v in classes.items()}
+            self.first_class[z[0]] = self.first_class.get(z[0], 0) | 1 << i
         A = algebra
         if logic in _NEG_BOUNDED and logic not in _DETERMINISTIC:
             self._neg_cells = tuple(
-                tuple(j for j, u in enumerate(self.snaps)
-                      if u[0] == z[1] and A.le(u[1], z[0]))
+                mask_of(j for j, u in enumerate(self.snaps)
+                        if u[0] == z[1] and A.le(u[1], z[0]))
                 for z in self.snaps)
 
-    def _pin(self, z: Snapshot) -> tuple[int, ...]:
-        """Index of a forced output snapshot, in this universe's mode."""
-        return (self.index[z],)
+    def _pin(self, z: Snapshot) -> int:
+        """The one-snapshot cell of a forced output, in this universe's mode."""
+        return 1 << self.index[z]
 
-    def binary_cell(self, op: str, i: int, j: int) -> tuple[int, ...]:
+    def binary_cell(self, op: str, i: int, j: int) -> int:
         A = self.algebra
         z, w = self.snaps[i], self.snaps[j]
         first = BINARY_BA[op](A, z[0], w[0])
@@ -166,7 +168,7 @@ class _UniverseOps:
             return self._pin((first, second))
         return self.first_class[first]
 
-    def neg_cell(self, i: int) -> tuple[int, ...]:
+    def neg_cell(self, i: int) -> int:
         z = self.snaps[i]
         if self.logic in _DETERMINISTIC:
             return self._pin((z[1], z[0]))
@@ -174,7 +176,7 @@ class _UniverseOps:
             return self._neg_cells[i]
         return self.first_class[z[1]]
 
-    def circ_cell(self, i: int) -> tuple[int, ...]:
+    def circ_cell(self, i: int) -> int:
         A = self.algebra
         z = self.snaps[i]
         if self.logic in _CIRC_SINGLETON:
@@ -185,13 +187,6 @@ class _UniverseOps:
             return self._pin(pinned)
         return self.first_class[z3_view(A, z)]
 
-    def cell(self, op: str, args: tuple[int, ...]) -> tuple[int, ...]:
-        if op == NEG:
-            return self.neg_cell(args[0])
-        if op == CIRC:
-            return self.circ_cell(args[0])
-        return self.binary_cell(op, args[0], args[1])
-
 
 @lru_cache(maxsize=None)
 def _universe_ops(logic: LogicId, algebra: BoolAlg) -> _UniverseOps:
@@ -200,16 +195,26 @@ def _universe_ops(logic: LogicId, algebra: BoolAlg) -> _UniverseOps:
 
 @lru_cache(maxsize=None)
 def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
-    """The largest swap structure for a logic over an algebra."""
+    """The largest swap structure for a logic over an algebra.
+
+    Raises ``CellCapExceeded`` before building anything when its tables
+    would hold more cells than ``cell_cap()`` allows.
+    """
+    # a universe is the per-atom universe raised to the number of atoms
+    k = len(universe(logic, A2)) ** algebra.atoms
+    cells = 3 * k * k + 2 * k
+    cap = cell_cap()
+    if cells > cap:
+        raise CellCapExceeded(
+            f"full {logic.display} structure over {algebra.atoms} atoms would "
+            f"need {cells} cells, above the cap {cap} "
+            "(set SWAPKIT_MAX_CELLS to raise it)")
     ops = _universe_ops(logic, algebra)
     snaps = ops.snaps
-    if not snaps:  # pragma: no cover - the universes above are never empty
-        raise ValueError("universe is empty over this algebra")
-    k = len(snaps)
     rng = range(k)
     tables = {
-        NEG: {(i,): ops.neg_cell(i) for i in rng},
-        CIRC: {(i,): ops.circ_cell(i) for i in rng},
+        NEG: [ops.neg_cell(i) for i in rng],
+        CIRC: [ops.circ_cell(i) for i in rng],
     }
     plain_first_class = logic in (LogicId.CPLE_PLUS, LogicId.MBC, LogicId.MBCCIW)
     firsts = [z[0] for z in snaps]
@@ -220,15 +225,12 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
             fc = ops.first_class
             by_value = [[fc[opfn(algebra, a, b)] for b in algebra.elements()]
                         for a in algebra.elements()]
-            table = {}
-            for i in rng:
-                crow = by_value[firsts[i]]
-                for j in rng:
-                    table[(i, j)] = crow[firsts[j]]
+            table: list[int] = []
+            for a in firsts:
+                table.extend(map(by_value[a].__getitem__, firsts))
             tables[op] = table
         else:
-            tables[op] = {(i, j): ops.binary_cell(op, i, j)
-                          for i in rng for j in rng}
+            tables[op] = [ops.binary_cell(op, i, j) for i in rng for j in rng]
     labels = [snapshot_label(algebra, z) for z in snaps]
     malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
     return SwapStructure(logic, algebra, malg, snaps)
@@ -267,52 +269,68 @@ def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     if any(not _in_universe(logic, A, z) for z in snaps):
         return False
 
+    k = len(snaps)
     tables = cand.malg.tables
     first = [z[0] for z in snaps]
-    firsts_of: dict[int, frozenset[int]] = {}
+    everything = (1 << k) - 1
+    with_first: dict[int, int] = {}
+    for u, a in enumerate(first):
+        with_first[a] = with_first.get(a, 0) | 1 << u
 
-    def cell_firsts(cell: tuple[int, ...]) -> frozenset[int]:
-        got = firsts_of.get(id(cell))
-        if got is None:
-            got = firsts_of[id(cell)] = frozenset(first[u] for u in cell)
-        return got
+    def off_first(value: int) -> int:
+        """The snapshots whose first coordinate is not ``value``."""
+        return everything & ~with_first.get(value, 0)
 
+    # a cell passes when it avoids the snapshots with the wrong first
+    # coordinate, or with the wrong exact value where a cell is pinned
     for op in (AND, OR, IMP):
         ba_op = BINARY_BA[op]
-        for (i, j), cell in tables[op].items():
-            if cell_firsts(cell) != {ba_op(A, first[i], first[j])}:
+        table = tables[op]
+        off_rows = {a: [off_first(ba_op(A, a, b)) for b in first]
+                    for a in set(first)}
+        for i in range(k):
+            if any(map(and_, table[i * k:(i + 1) * k], off_rows[first[i]])):
                 return False
-    for (i,), cell in tables[NEG].items():
-        if cell_firsts(cell) != {snaps[i][1]}:
+    bounded: dict[int, int] = {}
+    for i, cell in enumerate(tables[NEG]):
+        if cell & off_first(snaps[i][1]):
             return False
         if logic in _NEG_BOUNDED:
-            if any(not A.le(snaps[u][1], snaps[i][0]) for u in cell):
+            z1 = snaps[i][0]
+            if z1 not in bounded:
+                bounded[z1] = mask_of(u for u, w in enumerate(snaps)
+                                      if A.le(w[1], z1))
+            if cell & ~bounded[z1]:
                 return False
-    for (i,), cell in tables[CIRC].items():
-        if cell_firsts(cell) != {z3_view(A, snaps[i])}:
+
+    def pinned_cell(want: Snapshot) -> int:
+        pinned = cand.index_of.get(want)
+        return 0 if pinned is None else 1 << pinned
+
+    for i, cell in enumerate(tables[CIRC]):
+        if cell & off_first(z3_view(A, snaps[i])):
             return False
         if logic in _CIRC_SINGLETON:
             inconsistency = A.meet(snaps[i][0], snaps[i][1])
             want: Snapshot = (A.comp(inconsistency), inconsistency)
             if not cand.pair_mode:
                 want = want + (A.top,)
-            pinned = cand.index_of.get(want)
-            if pinned is None or cell != (pinned,):
+            if cell != pinned_cell(want):
                 return False
     if logic in (LogicId.LFI1O, LogicId.CIORE):
         ops = _pinned_ops(logic, A)
         for op in (AND, OR, IMP):
-            for (i, j), cell in tables[op].items():
-                want = ops(op, snaps[i], snaps[j], cand.pair_mode)
-                pinned = cand.index_of.get(want)
-                if pinned is None or cell != (pinned,):
-                    return False
-        for (i,), cell in tables[NEG].items():
+            table = tables[op]
+            for i in range(k):
+                for j in range(k):
+                    want = ops(op, snaps[i], snaps[j], cand.pair_mode)
+                    if table[i * k + j] != pinned_cell(want):
+                        return False
+        for i, cell in enumerate(tables[NEG]):
             want = (snaps[i][1], snaps[i][0])
             if not cand.pair_mode:
                 want = want + (A.comp(A.meet(want[0], want[1])),)
-            pinned = cand.index_of.get(want)
-            if pinned is None or cell != (pinned,):
+            if cell != pinned_cell(want):
                 return False
     return True
 
@@ -650,55 +668,72 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
 
     # repair: every maximal cell over the chosen set must meet the set
     while True:
-        missing = None
-        members = sorted(chosen)
-        for i in members:
-            for op_args in [(NEG, (i,)), (CIRC, (i,))]:
-                cell = ops.cell(*op_args)
-                if not any(u in chosen for u in cell):
+        inside = mask_of(chosen)
+        missing = 0
+        picked = sorted(chosen)
+        for i in picked:
+            for cell in (ops.neg_cell(i), ops.circ_cell(i)):
+                if not cell & inside:
                     missing = cell
                     break
             if missing:
                 break
-            for j in members:
+            for j in picked:
                 for op in (AND, OR, IMP):
                     cell = ops.binary_cell(op, i, j)
-                    if not any(u in chosen for u in cell):
+                    if not cell & inside:
                         missing = cell
                         break
                 if missing:
                     break
             if missing:
                 break
-        if missing is None:
+        if not missing:
             break
-        chosen.add(rng.choice(missing))
+        chosen.add(rng.choice(members(missing)))
 
-    members = sorted(chosen)
-    pos = {u: i for i, u in enumerate(members)}
-    snaps = [ops.snaps[u] for u in members]
+    picked = sorted(chosen)
+    snaps = [ops.snaps[u] for u in picked]
 
-    def restrict(cell: tuple[int, ...], pinned: bool) -> tuple[int, ...]:
-        inside = [pos[u] for u in cell if u in chosen]
-        if pinned or len(inside) == 1 or rng.random() > shrink:
-            return tuple(inside)
+    def restrict(cell: int, pinned: bool) -> int:
+        if pinned or cell & (cell - 1) == 0 or rng.random() > shrink:
+            return cell
+        inside = members(cell)
         keep = rng.randint(1, len(inside))
-        return tuple(sorted(rng.sample(inside, keep)))
+        return mask_of(rng.sample(inside, keep))
 
-    circ_pinned = logic in _CIRC_SINGLETON
-    neg_pinned = logic in _DETERMINISTIC
-    binary_pinned = logic in _DETERMINISTIC
-    tables = {
-        NEG: {(pos[i],): restrict(ops.neg_cell(i), neg_pinned) for i in members},
-        CIRC: {(pos[i],): restrict(ops.circ_cell(i), circ_pinned) for i in members},
-    }
-    for op in (AND, OR, IMP):
-        tables[op] = {(pos[i], pos[j]): restrict(ops.binary_cell(op, i, j),
-                                                 binary_pinned)
-                      for i in members for j in members}
+    pinned = {NEG: logic in _DETERMINISTIC, CIRC: logic in _CIRC_SINGLETON,
+              AND: logic in _DETERMINISTIC, OR: logic in _DETERMINISTIC,
+              IMP: logic in _DETERMINISTIC}
+    tables = {op: [restrict(cell, pinned[op]) for cell in table]
+              for op, table in _cut_tables(ops, picked).items()}
     labels = [snapshot_label(algebra, z) for z in snaps]
     malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
     return SwapStructure(logic, algebra, malg, snaps)
+
+
+def _cut_tables(ops: _UniverseOps,
+                chosen: Sequence[int]) -> dict[str, list[int]]:
+    """The maximal cells at the chosen snapshots (ascending indices into the
+    universe), cut down to them and renumbered; a cell that misses every
+    chosen snapshot becomes 0."""
+    inside = mask_of(chosen)
+    pos = {u: i for i, u in enumerate(chosen)}
+    renumbered: dict[int, int] = {}
+
+    def cut(cell: int) -> int:
+        got = renumbered.get(cell)
+        if got is None:
+            got = renumbered[cell] = mask_of(
+                pos[u] for u in members(cell & inside))
+        return got
+
+    tables = {NEG: [cut(ops.neg_cell(i)) for i in chosen],
+              CIRC: [cut(ops.circ_cell(i)) for i in chosen]}
+    for op in (AND, OR, IMP):
+        tables[op] = [cut(ops.binary_cell(op, i, j))
+                      for i in chosen for j in chosen]
+    return tables
 
 
 def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
@@ -714,40 +749,16 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
     if k > limit:
         raise ValueError(f"universe has {k} elements; exhaustive enumeration "
                          f"is capped at {limit}")
-    zero_first = {i for i, z in enumerate(ops.snaps) if z[0] == algebra.bot}
+    zero_first = mask_of(i for i, z in enumerate(ops.snaps)
+                         if z[0] == algebra.bot)
     for bits in range(1, 1 << k):
-        chosen = {i for i in range(k) if bits >> i & 1}
-        if not chosen & zero_first:
+        if not bits & zero_first:
             continue
-        members = sorted(chosen)
-        pos = {u: i for i, u in enumerate(members)}
-        ok = True
-        tables: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
-            NEG: {}, CIRC: {}, AND: {}, OR: {}, IMP: {}}
-        for i in members:
-            for op, table_args in ((NEG, (i,)), (CIRC, (i,))):
-                cell = tuple(pos[u] for u in ops.cell(op, table_args) if u in chosen)
-                if not cell:
-                    ok = False
-                    break
-                tables[op][(pos[i],)] = cell
-            if not ok:
-                break
-            for j in members:
-                for op in (AND, OR, IMP):
-                    cell = tuple(pos[u] for u in ops.binary_cell(op, i, j)
-                                 if u in chosen)
-                    if not cell:
-                        ok = False
-                        break
-                    tables[op][(pos[i], pos[j])] = cell
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+        chosen = members(bits)
+        tables = _cut_tables(ops, chosen)
+        if any(0 in table for table in tables.values()):
             continue
-        snaps = [ops.snaps[u] for u in members]
+        snaps = [ops.snaps[u] for u in chosen]
         labels = [snapshot_label(algebra, z) for z in snaps]
         malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
         yield SwapStructure(logic, algebra, malg, snaps)

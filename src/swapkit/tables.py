@@ -11,6 +11,7 @@ Three renderings, matching how the tables are usually displayed:
 from __future__ import annotations
 
 from .formula import AND, CIRC, IMP, NEG, OR
+from .multialg import arg_tuples, mask_of, members
 from .swap import SwapStructure
 
 OP_ORDER = (AND, OR, IMP, NEG, CIRC)
@@ -21,29 +22,28 @@ def _designated(structure: SwapStructure) -> tuple[int, ...]:
     return tuple(i for i, z in enumerate(structure.snapshots) if z[0] == top)
 
 
-def _cell_text(structure: SwapStructure, cell: tuple[int, ...],
+def _cell_text(structure: SwapStructure, cell: int,
                block: bool, bare: bool) -> str:
     labels = structure.malg.labels
     if block:
-        designated = set(_designated(structure))
-        members = set(cell)
-        if members == designated:
+        designated = mask_of(_designated(structure))
+        if cell == designated:
             return "D"
-        if members == set(range(structure.malg.size)) - designated:
+        if cell == (1 << structure.malg.size) - 1 & ~designated:
             return "ND"
-    if bare and len(cell) == 1:
-        return labels[cell[0]]
+    if bare and cell & (cell - 1) == 0:
+        return labels[cell.bit_length() - 1]
     # sets print in reverse carrier order: {t,T}, {f0,F}
-    return "{" + ",".join(labels[u] for u in sorted(cell, reverse=True)) + "}"
+    return "{" + ",".join(labels[u] for u in reversed(members(cell))) + "}"
 
 
 def render_tables(structure: SwapStructure) -> str:
     labels = structure.malg.labels
     k = structure.malg.size
     block = not structure.pair_mode and structure.algebra.atoms == 1
-    bare = all(len(cell) == 1
+    bare = all(cell & (cell - 1) == 0
                for table in structure.malg.tables.values()
-               for cell in table.values())
+               for cell in set(table))
 
     lines = [
         f"logic: {structure.logic.display}",
@@ -52,14 +52,14 @@ def render_tables(structure: SwapStructure) -> str:
         "designated: " + " ".join(labels[i] for i in _designated(structure)),
     ]
 
-    def cell_text(cell: tuple[int, ...]) -> str:
+    def cell_text(cell: int) -> str:
         return _cell_text(structure, cell, block, bare)
 
     for op in OP_ORDER:
         table = structure.malg.tables[op]
         lines.append("")
         if op in (NEG, CIRC):
-            body = [[labels[i], cell_text(table[(i,)])] for i in range(k)]
+            body = [[labels[i], cell_text(table[i])] for i in range(k)]
             widths = [max(len(r[c]) for r in body + [[op, op]]) for c in (0, 1)]
             head = f"{op.ljust(widths[0])} |"
             lines.append(head)
@@ -67,7 +67,8 @@ def render_tables(structure: SwapStructure) -> str:
             for row in body:
                 lines.append(f"{row[0].ljust(widths[0])} | {row[1]}")
         else:
-            body = [[labels[i]] + [cell_text(table[(i, j)]) for j in range(k)]
+            body = [[labels[i]] + [cell_text(cell) for cell in
+                                   table[i * k:(i + 1) * k]]
                     for i in range(k)]
             headers = [op] + list(labels)
             widths = [max(len(headers[c]), max(len(r[c]) for r in body))
@@ -88,9 +89,11 @@ def tables_json(structure: SwapStructure) -> dict:
     labels = structure.malg.labels
     ops = {}
     for op in OP_ORDER:
-        table = structure.malg.tables[op]
-        ops[op] = {",".join(labels[a] for a in args): [labels[u] for u in cell]
-                   for args, cell in sorted(table.items())}
+        arity = structure.malg.signature.arity_of(op)
+        ops[op] = {",".join(labels[a] for a in args):
+                   [labels[u] for u in members(cell)]
+                   for args, cell in zip(arg_tuples(len(labels), arity),
+                                         structure.malg.tables[op])}
     return {
         "logic": structure.logic.display,
         "atoms": structure.algebra.atoms,

@@ -239,9 +239,9 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
 
         def lfi_cell(op, z, w=None):
             if w is None:
-                idx = lfi.malg.tables[op][(lfi.index_of[z],)]
+                idx = lfi.malg.cell(op, (lfi.index_of[z],))
             else:
-                idx = lfi.malg.tables[op][(lfi.index_of[z], lfi.index_of[w])]
+                idx = lfi.malg.cell(op, (lfi.index_of[z], lfi.index_of[w]))
             return lfi.snapshots[idx[0]]
 
         eq_bad = []
@@ -268,8 +268,8 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
         for z in ciore.snapshots:
             for w in ciore.snapshots:
                 for op in (AND, OR, IMP):
-                    cell = ciore.malg.tables[op][
-                        (ciore.index_of[z], ciore.index_of[w])]
+                    cell = ciore.malg.cell(
+                        op, (ciore.index_of[z], ciore.index_of[w]))
                     u = ciore.snapshots[cell[0]]
                     first = BINARY_BA[op](A, z[0], w[0])
                     want = A.imp(first, A.meet(A.meet(z[0], z[1]),

@@ -10,8 +10,28 @@ from swapkit.formula import (CIRC, IMP, NEG, Binary, Formula, Unary,
 from swapkit.hilbert import (SCHEMAS, Axiom, ModusPonens, Premise, Proof,
                              axioms_of)
 from swapkit.logics import LogicId
+from swapkit.multialg import MultiAlg
 from swapkit.nmatrix import (Bivaluation, Nmatrix, PartialValuation,
                              clause_failures, extended_closure)
+
+
+def malg_from_sets(signature, labels, cells) -> MultiAlg:
+    """A multialgebra from tables written as {op: {argument tuple: members}}.
+
+    The members become bitmask cells, listed in argument-tuple order; a
+    table missing a tuple comes out short, which ``MultiAlg`` rejects.
+    """
+    tables = {op: [sum(1 << u for u in set(members))
+                   for _args, members in sorted(table.items())]
+              for op, table in cells.items()}
+    return MultiAlg(signature, labels, tables)
+
+
+def sets_of(malg: MultiAlg) -> dict:
+    """The tables of a multialgebra as {op: {argument tuple: members}}."""
+    return {op: {args: malg.cell(op, args)
+                 for args in product(range(malg.size), repeat=arity)}
+            for op, arity in malg.signature.operators()}
 
 
 def random_formula(rng: random.Random, variables, depth: int) -> Formula:
@@ -61,14 +81,14 @@ def random_legal_valuation(rng: random.Random, matrix: Nmatrix,
                            domain) -> PartialValuation:
     """Pick a random value from every cell along a closed, children-first list."""
     values: dict[Formula, int] = {}
-    tables = matrix.malg.tables
+    malg = matrix.malg
     for f in domain:
         if isinstance(f, Var):
             values[f] = rng.randrange(matrix.malg.size)
         elif isinstance(f, Unary):
-            values[f] = rng.choice(tables[f.op][(values[f.child],)])
+            values[f] = rng.choice(malg.cell(f.op, (values[f.child],)))
         else:
-            values[f] = rng.choice(tables[f.op][(values[f.left], values[f.right])])
+            values[f] = rng.choice(malg.cell(f.op, (values[f.left], values[f.right])))
     return PartialValuation(matrix, tuple(domain), values)
 
 
@@ -166,7 +186,7 @@ def brute_force_least_countermodel(matrix: Nmatrix, premises, goal,
     """
     from swapkit.formula import subformula_closure
     closure = subformula_closure(list(premises) + [goal])
-    tables = matrix.malg.tables
+    malg = matrix.malg
     D = matrix.designated
     prem = set(premises)
     vals: dict[Formula, int] = {}
@@ -180,9 +200,9 @@ def brute_force_least_countermodel(matrix: Nmatrix, premises, goal,
         if isinstance(f, Var):
             cell = range(matrix.malg.size)
         elif isinstance(f, Unary):
-            cell = tables[f.op][(vals[f.child],)]
+            cell = malg.cell(f.op, (vals[f.child],))
         else:
-            cell = tables[f.op][(vals[f.left], vals[f.right])]
+            cell = malg.cell(f.op, (vals[f.left], vals[f.right]))
         for u in sorted(cell):
             paths += 1
             if paths > limit:

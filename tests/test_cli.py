@@ -77,6 +77,56 @@ def test_deeply_nested_formulas():
     assert (code, text) == (2, "error: formula nested too deeply\n")
 
 
+def test_goal_among_premises_holds_at_once():
+    # no valuation designates the premise and leaves the goal undesignated;
+    # the search must not walk the paths below the goal to find that out
+    import time
+    deep = "~" * 300 + "p"
+    started = time.perf_counter()
+    code, text = capture(["decide", "mbc", "-p", deep, deep])
+    elapsed = time.perf_counter() - started
+    assert code == 0 and text.endswith("verdict: holds\n")
+    assert elapsed < 0.5, elapsed
+
+
+def test_cell_cap_stops_full_structures_before_building(monkeypatch):
+    # cple+ over four atoms has 4096 snapshots, about 50M cells
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    code, text = capture(["tables", "cple+", "--atoms", "4"])
+    assert code == 2
+    assert text == ("error: full CPLe+ structure over 4 atoms would need "
+                    "50339840 cells, above the cap 1000000 (set "
+                    "SWAPKIT_MAX_CELLS to raise it)\n")
+
+
+def test_small_cell_cap_is_enforced_in_a_fresh_process():
+    import os
+    import subprocess
+    import sys
+    # mbC over two atoms: 25 snapshots, 3 * 25**2 + 2 * 25 = 1925 cells
+    argv = [sys.executable, "-m", "swapkit.cli", "tables", "mbc", "--atoms", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "SWAPKIT_MAX_CELLS": "1924"})
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    assert "would need 1925 cells, above the cap 1924" in proc.stdout
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "SWAPKIT_MAX_CELLS": "1925"})
+    assert proc.returncode == 0 and proc.stdout.startswith("logic: mbC\n")
+
+
+def test_out_of_memory_is_one_line(monkeypatch):
+    from swapkit import cli
+
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "tables", exhausted)
+    code, text = capture(["tables", "mbc"])
+    assert code == 2
+    assert text == "error: out of memory (lower --atoms or SWAPKIT_MAX_CELLS)\n"
+
+
 def test_malformed_cell_cap_is_a_usage_error():
     import os
     import subprocess

@@ -1,8 +1,9 @@
 """Differential test of the decision engine against unpruned enumeration.
 
-The engine prunes interchangeable values and then minimizes; the oracle in
-`helpers` walks every legal valuation in lexicographic order.  Both must
-agree on the verdict and, on failure, on the whole least countermodel.
+The engine prunes interchangeable values and returns the first countermodel
+it finds; the oracle in `helpers` walks every legal valuation in
+lexicographic order.  Both must agree on the verdict and, on failure, on the
+whole least countermodel.
 """
 
 import random

@@ -14,14 +14,14 @@ from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
                               is_multicongruence, is_submultialgebra,
                               ma_product, ma_terminal, quotient)
 from swapkit.swap import full_swap, random_swap_substructure
-from helpers import epi_by_separation
+from helpers import epi_by_separation, malg_from_sets, sets_of
 
 SIG1 = Signature(unary=("f",), binary=("g",))
 
 
 def tiny(cells):
     """Two-element multialgebra over one unary and one binary operator."""
-    return MultiAlg(SIG1, ("a", "b"), cells)
+    return malg_from_sets(SIG1, ("a", "b"), cells)
 
 
 def full_two():
@@ -42,6 +42,32 @@ def test_cells_must_be_nonempty_and_total():
     with pytest.raises(ValueError):
         tiny({"f": {(0,): (0,)},
               "g": {(i, j): (0,) for i in range(2) for j in range(2)}})
+    # flat tables: length k**arity, cells nonzero bitmasks below 1 << k
+    with pytest.raises(ValueError, match="has 3 cells, expected 4"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3]})
+    with pytest.raises(ValueError, match="empty cell"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3, 0]})
+    with pytest.raises(ValueError, match=r"invalid cell 4 at 'f'\(1,\)"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 4], "g": [1, 2, 3, 3]})
+    with pytest.raises(ValueError, match="missing table"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2]})
+
+
+def test_flat_tables_and_cell_accessor():
+    m = MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [1, 2, 3, 1]})
+    assert m.cell("f", (0,)) == (1,) and m.cell("f", (1,)) == (0, 1)
+    assert [m.cell("g", (i, j)) for i in range(2) for j in range(2)] == \
+        [(0,), (1,), (0, 1), (0,)]
+    assert m.cell_count() == 6
+    # equal cells share one object, so a table costs one slot per cell
+    whole = [int("1" * 70, 2) for _ in range(70)]
+    assert whole[0] is not whole[1]
+    big = MultiAlg(Signature(unary=("f",)), [f"x{i}" for i in range(70)],
+                   {"f": whole})
+    assert all(cell is big.tables["f"][0] for cell in big.tables["f"])
+    for bad in [(2,), (0, 1), (-1,)]:
+        with pytest.raises(IndexError):
+            m.cell("f", bad)
 
 
 def test_submultialgebra_reflexive():
@@ -64,25 +90,25 @@ def test_submultialgebra_cell_shrink_and_enlarge():
     for op, arity in m.signature.operators():
         table = {}
         for args in product(range(3), repeat=arity):
-            parent = m.tables[op][tuple(sub_idx[a] for a in args)]
+            parent = m.cell(op, tuple(sub_idx[a] for a in args))
             table[args] = tuple(i for i, x in enumerate(sub_idx) if x in parent)
         sub_cells[op] = table
-    sub = MultiAlg(LOGIC_SIGNATURE, ("T", "t", "F"), sub_cells)
+    sub = malg_from_sets(LOGIC_SIGNATURE, ("T", "t", "F"), sub_cells)
     assert is_submultialgebra(sub, m, sub_idx)
-    op = rng.choice(list(sub.tables))
-    args = rng.choice(list(sub.tables[op]))
-    cell = set(sub.tables[op][args])
+    mutated_cells = sets_of(sub)
+    op = rng.choice(list(mutated_cells))
+    args = rng.choice(list(mutated_cells[op]))
+    cell = set(mutated_cells[op][args])
     outside = set(range(3)) - {i for i, x in enumerate(sub_idx)
-                               if x in m.tables[op][tuple(sub_idx[a] for a in args)]}
+                               if x in m.cell(op, tuple(sub_idx[a] for a in args))}
     if outside:
-        mutated_cells = {o: dict(t) for o, t in sub.tables.items()}
         mutated_cells[op][args] = tuple(sorted(cell | {outside.pop()}))
-        mutated = MultiAlg(LOGIC_SIGNATURE, ("T", "t", "F"), mutated_cells)
+        mutated = malg_from_sets(LOGIC_SIGNATURE, ("T", "t", "F"), mutated_cells)
         assert not is_submultialgebra(mutated, m, sub_idx)
 
 
 def test_signature_mismatch_raises():
-    other = MultiAlg(Signature(unary=("h",)), ("x",), {"h": {(0,): (0,)}})
+    other = MultiAlg(Signature(unary=("h",)), ("x",), {"h": [0b1]})
     with pytest.raises(SignatureMismatch):
         is_submultialgebra(other, full_two(), (0,))
     with pytest.raises(SignatureMismatch):
@@ -138,7 +164,7 @@ def test_epi_iff_surjective_small():
 
 def test_ma_product_empty_terminal_and_unary():
     one = ma_terminal(SIG1)
-    assert one.size == 1 and one.tables["g"][(0, 0)] == (0,)
+    assert one.size == 1 and one.cell("g", (0, 0)) == (0,)
     empty, projs = ma_product([], signature=SIG1)
     assert empty == one and projs == []
     with pytest.raises(ValueError):
@@ -157,11 +183,11 @@ def test_ma_product_cells_are_products_spot_check():
     for _ in range(40):
         op = rng.choice(["&", "|", "->"])
         i, j = rng.randrange(25), rng.randrange(25)
-        got = prod.tables[op][(i, j)]
+        got = prod.cell(op, (i, j))
         a, b = carrier[i], carrier[j]
         want = {carrier.index((x, y))
-                for x in m.tables[op][(a[0], b[0])]
-                for y in m.tables[op][(a[1], b[1])]}
+                for x in m.cell(op, (a[0], b[0]))
+                for y in m.cell(op, (a[1], b[1]))}
         assert set(got) == want
     for proj in projs:
         assert is_full_homomorphism(proj)
@@ -273,8 +299,8 @@ def test_multicongruence_agrees_with_definition_bruteforce():
                 for args2 in product(range(5), repeat=arity):
                     if not all(related(a, b) for a, b in zip(args1, args2)):
                         continue
-                    c1 = m.tables[op][args1]
-                    c2 = m.tables[op][args2]
+                    c1 = m.cell(op, args1)
+                    c2 = m.cell(op, args2)
                     if not all(any(related(a, b) for b in c2) for a in c1):
                         want = False
         assert is_multicongruence(rel, m) == want
@@ -291,9 +317,9 @@ def test_quotient_counterexample_cells_all_two_blocks():
     theta = EquivRel.from_blocks([[0, 3], [1, 2, 4]], 5, labels=("a", "b"))
     q, p = quotient(m, theta)
     assert q.labels == ("a", "b")
-    for op, _arity in q.signature.operators():
-        for cell in q.tables[op].values():
-            assert cell == (0, 1)
+    for op, arity in q.signature.operators():
+        for args in product(range(q.size), repeat=arity):
+            assert q.cell(op, args) == (0, 1)
     assert is_full_homomorphism(p)
     # quotient never rejects the relation silently
     with pytest.raises(ValueError):
@@ -303,7 +329,7 @@ def test_quotient_counterexample_cells_all_two_blocks():
 def test_constant_operators_full_pipeline():
     sig = Signature(constants=("e",), binary=("g",))
     full_cell = {(i, j): (0, 1, 2) for i in range(3) for j in range(3)}
-    m = MultiAlg(sig, ("a", "b", "c"), {"e": {(): (0, 1)}, "g": full_cell})
+    m = malg_from_sets(sig, ("a", "b", "c"), {"e": {(): (0, 1)}, "g": full_cell})
 
     # constants must land in one block for a multicongruence
     merged = EquivRel.from_blocks([[0, 1], [2]], 3)
@@ -312,16 +338,16 @@ def test_constant_operators_full_pipeline():
     assert not is_multicongruence(split, m)
 
     q, p = quotient(m, merged)
-    assert q.tables["e"][()] == (0,)
+    assert q.cell("e", ()) == (0,)
     assert is_full_homomorphism(p)
 
     prod, projs = ma_product([m, m])
-    assert len(prod.tables["e"][()]) == 4
+    assert len(prod.cell("e", ())) == 4
     for proj in projs:
         assert is_full_homomorphism(proj)
 
     img, onto, inc = direct_image(identity_map(m))
-    assert img.tables["e"][()] == (0, 1)
+    assert img.cell("e", ()) == (0, 1)
 
     # a map shrinking the constant's image stays a homomorphism only if the
     # image is still inside the target constant cell
@@ -354,5 +380,6 @@ def test_quotient_cells_never_empty_random():
         q, _ = quotient(m, rel)
         found += 1
         for op, _a in q.signature.operators():
-            assert all(q.tables[op].values())
+            assert all(q.cell(op, args)
+                       for args in product(range(q.size), repeat=_a))
     assert found > 0

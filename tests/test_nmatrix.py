@@ -112,10 +112,9 @@ def test_soundness_axioms_and_mp_per_logic():
         for name, schema in axioms_of(logic).schemas():
             assert decide(matrix, [], schema).holds, (logic, name)
         # MP preserves designation, exhaustively over the matrix
-        table = matrix.malg.tables["->"]
         for a in matrix.designated:
             for b in range(matrix.malg.size):
-                for i in table[(a, b)]:
+                for i in matrix.malg.cell("->", (a, b)):
                     if i in matrix.designated:
                         assert b in matrix.designated
 
@@ -155,10 +154,9 @@ def test_positive_axioms_validate_in_every_swap_matrix():
         for name, schema in positive:
             assert decide(matrix, [], schema).holds, (b, name)
         # modus ponens preserves designation in every swap matrix
-        table = matrix.malg.tables["->"]
         for a in matrix.designated:
             for c in range(matrix.malg.size):
-                for i in table[(a, c)]:
+                for i in matrix.malg.cell("->", (a, c)):
                     if i in matrix.designated:
                         assert c in matrix.designated
 

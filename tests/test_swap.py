@@ -15,6 +15,7 @@ from swapkit.swap import (SwapStructure, characterize, duality_star,
                           mbc_quotient_counterexample, product_iso,
                           random_swap_substructure, represent, universe,
                           validates)
+from helpers import malg_from_sets, sets_of
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -54,11 +55,24 @@ def test_full_swap_cells_match_defining_clauses_randomly():
                 for _ in range(20):
                     i = rng.randrange(b.malg.size)
                     j = rng.randrange(b.malg.size)
-                    cell = b.malg.tables["&"][(i, j)]
+                    cell = b.malg.cell("&", (i, j))
                     want = algebra.meet(b.snapshots[i][0], b.snapshots[j][0])
                     assert {b.snapshots[u][0] for u in cell} == {want}
                     assert all(z in b.index_of for z in
                                (b.snapshots[u] for u in cell))
+
+
+def test_full_swap_respects_the_cell_cap(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    # Ci over four atoms: 81 snapshots, 3 * 81**2 + 2 * 81 = 19845 cells;
+    # nothing else builds it, so the cache cannot answer first
+    P4 = powerset_algebra(4)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "19844")
+    with pytest.raises(CellCapExceeded, match="would need 19845 cells"):
+        full_swap(L.CI, P4)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "19845")
+    b = full_swap(L.CI, P4)
+    assert b.malg.size == 81 and b.malg.cell_count() == 19845
 
 
 def test_full_mbc_tested_against_mbcciw_fails():
@@ -179,12 +193,11 @@ def test_characterize_agreement_under_single_cell_mutations():
     # carrier element) and check the structural and axiomatic membership
     # tests still move together for every logic
     from swapkit.formula import LOGIC_SIGNATURE
-    from swapkit.multialg import MultiAlg
     rng = random.Random(9)
     for logic_src in (L.MBC, L.MBCCIW, L.MBCCI, L.CI, L.LFI1O, L.CIORE):
         full = full_swap(logic_src, A2)
         for _ in range(30):
-            tables = {op: dict(t) for op, t in full.malg.tables.items()}
+            tables = sets_of(full.malg)
             op = rng.choice(["&", "|", "->", "~", "@"])
             args = rng.choice(list(tables[op]))
             cell = set(tables[op][args])
@@ -193,7 +206,7 @@ def test_characterize_agreement_under_single_cell_mutations():
             else:
                 cell.add(rng.randrange(full.malg.size))
             tables[op][args] = tuple(sorted(cell))
-            malg = MultiAlg(LOGIC_SIGNATURE, full.malg.labels, tables)
+            malg = malg_from_sets(LOGIC_SIGNATURE, full.malg.labels, tables)
             cand = SwapStructure(logic_src, A2, malg, full.snapshots)
             for logic in L:
                 assert characterize(logic, cand) == is_swap_for(logic, cand), \
@@ -363,12 +376,12 @@ def test_cple_full_structures_are_boolean_algebras():
         for op, ba_op in (("&", A.meet), ("|", A.join), ("->", A.imp)):
             for i in range(b.malg.size):
                 for j in range(b.malg.size):
-                    (u,) = b.malg.tables[op][(i, j)]
+                    (u,) = b.malg.cell(op, (i, j))
                     assert first[u] == ba_op(first[i], first[j])
         for i in range(b.malg.size):
-            (u,) = b.malg.tables["~"][(i,)]
+            (u,) = b.malg.cell("~", (i,))
             assert first[u] == A.comp(first[i])
-            (u,) = b.malg.tables["@"][(i,)]
+            (u,) = b.malg.cell("@", (i,))
             assert first[u] == A.top
 
 
@@ -389,8 +402,9 @@ def test_characterize_agreement_on_full_structures_three_atoms():
 def test_quotient_counterexample_end_to_end():
     m5, theta, quot, proj = mbc_quotient_counterexample()
     assert is_multicongruence(theta, m5.malg)
-    assert all(cell == (0, 1) for table in quot.tables.values()
-               for cell in table.values())
+    assert all(quot.cell(op, args) == (0, 1)
+               for op, arity in quot.signature.operators()
+               for args in product(range(quot.size), repeat=arity))
     assert is_full_homomorphism(proj)
     assert find_swap_decoding(L.MBC, quot, A2) is None
     assert find_swap_decoding(L.MBC, quot, P2) is None
