@@ -198,6 +198,8 @@ def _cells_map_into(source: MultiAlg, target: MultiAlg,
     """Is the image of every source cell inside (equal to, when full) the
     target cell at the mapped arguments?  Each distinct pair of source and
     target cells is tested once."""
+    if not all(0 <= m < target.size for m in mapping):
+        raise ValueError("map leaves the target carrier")
     images: dict[int, int] = {}
     for op, arity in source.signature.operators():
         tgt = target.tables[op]
@@ -437,6 +439,8 @@ def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
     """
     if len(rel.block_of) != algebra.size:
         raise ValueError("partition is over the wrong carrier")
+    if not all(0 <= b < rel.block_count for b in rel.block_of):
+        raise ValueError("partition has a block without a label")
     block = rel.block_of
     images: dict[int, int] = {}
     for op, arity in algebra.signature.operators():

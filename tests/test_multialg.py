@@ -115,6 +115,16 @@ def test_signature_mismatch_raises():
         is_homomorphism(MaMap(other, full_two(), (0,)))
 
 
+def test_maps_and_partitions_must_stay_in_range():
+    m = m5()
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_homomorphism(MaMap(m, m, (0, 1, 2, 3, 5)))
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_submultialgebra(m, m, (0, 1, 2, 3, 5))
+    with pytest.raises(ValueError, match="without a label"):
+        is_multicongruence(EquivRel((0, 0, 1, 1, 2), ("a", "b")), m)
+
+
 def test_identity_is_full_homomorphism():
     m = m5()
     assert is_full_homomorphism(identity_map(m))
