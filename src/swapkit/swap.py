@@ -6,9 +6,28 @@ the two weakest logics, pairs (z1, z2) from mbCciw upward, where the third
 coordinate is forced to be the complement of z1 & z2 and is dropped.
 
 Every structure here is a submultialgebra of the *full* structure of its
-logic, whose cells are as large as the defining clauses allow.  For the two
-strongest three-valued logics the clauses pin every cell to a singleton and
-the structures collapse to ordinary twist-style algebras.
+logic, whose cells are as large as the defining clauses allow.  CPLe+ admits
+every triple, and its cells at z (and w) hold every snapshot u with
+
+    ~z:  u1 = z2        @z:  u1 = z3        z # w:  u1 = z1 # w1
+
+for # one of &, |, ->.  Each other logic cuts this class down with the
+clauses of ``_CLAUSES``; u is the output, and a pinned cell holds only the
+snapshot given (for @z: (~(z1&z2), z1&z2)):
+
+    logic    universe               ~z        @z      z # w
+    CPLe+    every triple           -         -       -
+    mbC      z1|z2=1, z1&z2&z3=0    -         -       -
+    mbCciw   z1|z2=1, pairs         -         -       -
+    mbCci    z1|z2=1, pairs         -         pinned  -
+    Ci       z1|z2=1, pairs         u2 <= z1  pinned  -
+    CPLe     z2=~z1, pairs          u2 <= z1  pinned  -
+    LFI1o    z1|z2=1, pairs         (z2,z1)   pinned  (u1, z2|w2 / z2&w2 / z1&w2)
+    Ciore    z1|z2=1, pairs         (z2,z1)   pinned  (u1, u1 -> z1&z2&w1&w2)
+
+"pairs" means z3 = ~(z1&z2), so the third coordinate is dropped; LFI1o's
+second coordinate depends on # (&, |, -> in that order).  In LFI1o and
+Ciore every cell is pinned, so their structures are twist-style algebras.
 
 The module also houses the functorial lift of Boolean homomorphisms to full
 structures, the product isomorphism, the atom-indexed representation
@@ -23,8 +42,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_
-from typing import Optional, Sequence
+from operator import eq, or_
+from typing import Callable, Optional, Sequence
 
 from .boolalg import A2, BaHom, BoolAlg, ba_product, is_ba_hom
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
@@ -41,13 +60,60 @@ BINARY_BA = {
     IMP: lambda A, x, y: A.imp(x, y),
 }
 
-#: Logics whose consistency cells are pinned to one snapshot.
-_CIRC_SINGLETON = (LogicId.MBCCI, LogicId.CI, LogicId.CPLE,
-                   LogicId.LFI1O, LogicId.CIORE)
-#: Logics whose negation cells must keep the second coordinate below z1.
-_NEG_BOUNDED = (LogicId.CI, LogicId.CPLE, LogicId.LFI1O, LogicId.CIORE)
-#: Fully deterministic (twist-style) logics.
-_DETERMINISTIC = (LogicId.CPLE, LogicId.LFI1O, LogicId.CIORE)
+
+@dataclass(frozen=True)
+class _Clauses:
+    """What one logic adds to the CPLe+ clauses (see the module docstring)."""
+
+    #: snapshot universe, on the triple view (A, z1, z2, z3)
+    universe: Callable[[BoolAlg, int, int, int], bool]
+    #: negation outputs keep u2 <= z1
+    neg_bounded: bool = False
+    #: consistency outputs are pinned to (~(z1 & z2), z1 & z2)
+    circ_pinned: bool = False
+    #: (A, op, z, w, u1) -> u2 pinning binary outputs; then ~z is (z2, z1)
+    second: Optional[Callable[[BoolAlg, str, Snapshot, Snapshot, int],
+                              int]] = None
+
+
+def _mbc_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
+    return A.join(z1, z2) == A.top and A.meet(A.meet(z1, z2), z3) == A.bot
+
+
+def _pair_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
+    return A.join(z1, z2) == A.top and z3 == A.comp(A.meet(z1, z2))
+
+
+def _cple_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
+    return z2 == A.comp(z1) and z3 == A.top
+
+
+def _lfi1o_second(A: BoolAlg, op: str, z: Snapshot, w: Snapshot,
+                  first: int) -> int:
+    if op == AND:
+        return A.join(z[1], w[1])
+    if op == OR:
+        return A.meet(z[1], w[1])
+    return A.meet(z[0], w[1])
+
+
+def _ciore_second(A: BoolAlg, op: str, z: Snapshot, w: Snapshot,
+                  first: int) -> int:
+    return A.imp(first, A.meet(A.meet(z[0], z[1]), A.meet(w[0], w[1])))
+
+
+_CLAUSES = {
+    LogicId.CPLE_PLUS: _Clauses(lambda A, z1, z2, z3: True),
+    LogicId.MBC: _Clauses(_mbc_universe),
+    LogicId.MBCCIW: _Clauses(_pair_universe),
+    LogicId.MBCCI: _Clauses(_pair_universe, circ_pinned=True),
+    LogicId.CI: _Clauses(_pair_universe, neg_bounded=True, circ_pinned=True),
+    LogicId.CPLE: _Clauses(_cple_universe, neg_bounded=True, circ_pinned=True),
+    LogicId.LFI1O: _Clauses(_pair_universe, circ_pinned=True,
+                            second=_lfi1o_second),
+    LogicId.CIORE: _Clauses(_pair_universe, circ_pinned=True,
+                            second=_ciore_second),
+}
 
 _NAMED_A2 = {
     (1, 0, 1): "T", (1, 1, 0): "t", (1, 0, 0): "t0",
@@ -72,26 +138,18 @@ def snapshot_label(algebra: BoolAlg, z: Snapshot) -> str:
     return "(" + ",".join(str(c) for c in z) + ")"
 
 
+def _in_universe(logic: LogicId, A: BoolAlg, z: Snapshot) -> bool:
+    return _CLAUSES[logic].universe(A, z[0], z[1], z3_view(A, z))
+
+
 @lru_cache(maxsize=None)
 def universe(logic: LogicId, algebra: BoolAlg) -> tuple[Snapshot, ...]:
-    """The snapshot universe of a logic over a finite Boolean algebra.
-
-    CPLe+ admits every triple.  mbC keeps the triples with z1 | z2 = 1 and
-    z1 & z2 & z3 = 0.  The pair logics keep the pairs with z1 | z2 = 1, and
-    CPLe additionally forces z2 to be the complement of z1.
-    """
+    """The snapshot universe of a logic over a finite Boolean algebra: the
+    triples (pairs from mbCciw upward) that its clauses admit, ascending."""
     A = algebra
-    elems = list(A.elements())
-    if logic is LogicId.CPLE_PLUS:
-        snaps = [(a, b, c) for a in elems for b in elems for c in elems]
-    elif logic is LogicId.MBC:
-        snaps = [(a, b, c) for a in elems for b in elems for c in elems
-                 if A.join(a, b) == A.top and A.meet(A.meet(a, b), c) == A.bot]
-    elif logic is LogicId.CPLE:
-        snaps = [(a, A.comp(a)) for a in elems]
-    else:
-        snaps = [(a, b) for a in elems for b in elems if A.join(a, b) == A.top]
-    snaps.sort()
+    width = 2 if logic.pair_mode else 3
+    snaps = [z for z in itertools.product(A.elements(), repeat=width)
+             if _in_universe(logic, A, z)]
     if A.atoms == 1:
         order = _A2_ORDER_PAIRS if logic.pair_mode else _A2_ORDER_TRIPLES
         named = [z for z in order if z in set(snaps)]
@@ -130,67 +188,81 @@ class SwapStructure:
                 f"{self.algebra.atoms} atoms, {self.malg.size} snapshots)")
 
 
-class _UniverseOps:
-    """Maximal legal cells of one logic over one algebra, on the full universe."""
+class _MaximalCells:
+    """The largest cells a logic's clauses allow over a list of snapshots.
 
-    def __init__(self, logic: LogicId, algebra: BoolAlg):
-        self.logic = logic
-        self.algebra = algebra
-        self.snaps = universe(logic, algebra)
-        self.index = {z: i for i, z in enumerate(self.snaps)}
+    Cells are bitmasks over positions in the list.  Over the logic's universe
+    they are the full structure's cells; over part of it they are those
+    cells cut down to the part (0 where nothing of a cell is left).
+    """
+
+    def __init__(self, logic: LogicId, algebra: BoolAlg,
+                 snaps: Sequence[Snapshot]):
+        self.clauses = clauses = _CLAUSES[logic]
+        self.algebra = A = algebra
+        self.snaps = snaps
+        #: (z1, z2, z3) -> position, to find pinned outputs in either mode
+        self.index = {(z[0], z[1], z3_view(A, z)): i
+                      for i, z in enumerate(snaps)}
         #: first coordinate -> cell of the snapshots with that first coordinate
         self.first_class: dict[int, int] = {}
-        for i, z in enumerate(self.snaps):
+        for i, z in enumerate(snaps):
             self.first_class[z[0]] = self.first_class.get(z[0], 0) | 1 << i
-        A = algebra
-        if logic in _NEG_BOUNDED and logic not in _DETERMINISTIC:
-            self._neg_cells = tuple(
-                mask_of(j for j, u in enumerate(self.snaps)
-                        if u[0] == z[1] and A.le(u[1], z[0]))
-                for z in self.snaps)
+        #: z1 -> cell of the snapshots whose second coordinate is below z1
+        self.below = {
+            a: mask_of(u for u, w in enumerate(snaps) if A.le(w[1], a))
+            for a in self.first_class} if clauses.neg_bounded else {}
 
-    def _pin(self, z: Snapshot) -> int:
-        """The one-snapshot cell of a forced output, in this universe's mode."""
-        return 1 << self.index[z]
+    def _pin(self, z1: int, z2: int) -> int:
+        """The one-snapshot cell of a forced (pair-family) output, or 0."""
+        A = self.algebra
+        i = self.index.get((z1, z2, A.comp(A.meet(z1, z2))))
+        return 0 if i is None else 1 << i
 
-    def binary_cell(self, op: str, i: int, j: int) -> int:
+    def neg(self, i: int) -> int:
+        z = self.snaps[i]
+        if self.clauses.second:
+            return self._pin(z[1], z[0])
+        cell = self.first_class.get(z[1], 0)
+        return cell & self.below[z[0]] if self.clauses.neg_bounded else cell
+
+    def circ(self, i: int) -> int:
+        A = self.algebra
+        z = self.snaps[i]
+        if self.clauses.circ_pinned:
+            inconsistency = A.meet(z[0], z[1])
+            return self._pin(A.comp(inconsistency), inconsistency)
+        return self.first_class.get(z3_view(A, z), 0)
+
+    def binary(self, op: str, i: int, j: int) -> int:
         A = self.algebra
         z, w = self.snaps[i], self.snaps[j]
         first = BINARY_BA[op](A, z[0], w[0])
-        if self.logic is LogicId.LFI1O:
-            if op == AND:
-                return self._pin((first, A.join(z[1], w[1])))
-            if op == OR:
-                return self._pin((first, A.meet(z[1], w[1])))
-            return self._pin((first, A.meet(z[0], w[1])))
-        if self.logic is LogicId.CIORE:
-            second = A.imp(first, A.meet(A.meet(z[0], z[1]), A.meet(w[0], w[1])))
-            return self._pin((first, second))
-        return self.first_class[first]
+        if self.clauses.second:
+            return self._pin(first, self.clauses.second(A, op, z, w, first))
+        return self.first_class.get(first, 0)
 
-    def neg_cell(self, i: int) -> int:
-        z = self.snaps[i]
-        if self.logic in _DETERMINISTIC:
-            return self._pin((z[1], z[0]))
-        if self.logic in _NEG_BOUNDED:
-            return self._neg_cells[i]
-        return self.first_class[z[1]]
-
-    def circ_cell(self, i: int) -> int:
+    def tables(self) -> dict[str, list[int]]:
+        """Every maximal cell, as flat tables in ``LOGIC_SIGNATURE`` order."""
         A = self.algebra
-        z = self.snaps[i]
-        if self.logic in _CIRC_SINGLETON:
-            inconsistency = A.meet(z[0], z[1])
-            pinned = (A.comp(inconsistency), inconsistency)
-            if not self.logic.pair_mode:  # pragma: no cover - all such logics pair
-                pinned = pinned + (A.top,)
-            return self._pin(pinned)
-        return self.first_class[z3_view(A, z)]
-
-
-@lru_cache(maxsize=None)
-def _universe_ops(logic: LogicId, algebra: BoolAlg) -> _UniverseOps:
-    return _UniverseOps(logic, algebra)
+        rng = range(len(self.snaps))
+        tables = {NEG: [self.neg(i) for i in rng],
+                  CIRC: [self.circ(i) for i in rng]}
+        firsts = [z[0] for z in self.snaps]
+        fc = self.first_class
+        for op in (AND, OR, IMP):
+            if self.clauses.second:
+                tables[op] = [self.binary(op, i, j) for i in rng for j in rng]
+                continue
+            # unpinned binary cells depend only on the first coordinates
+            opfn = BINARY_BA[op]
+            rows = {a: [fc.get(opfn(A, a, b), 0) for b in firsts]
+                    for a in set(firsts)}
+            table: list[int] = []
+            for a in firsts:
+                table.extend(rows[a])
+            tables[op] = table
+        return tables
 
 
 @lru_cache(maxsize=None)
@@ -209,28 +281,8 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
             f"full {logic.display} structure over {algebra.atoms} atoms would "
             f"need {cells} cells, above the cap {cap} "
             "(set SWAPKIT_MAX_CELLS to raise it)")
-    ops = _universe_ops(logic, algebra)
-    snaps = ops.snaps
-    rng = range(k)
-    tables = {
-        NEG: [ops.neg_cell(i) for i in rng],
-        CIRC: [ops.circ_cell(i) for i in rng],
-    }
-    plain_first_class = logic in (LogicId.CPLE_PLUS, LogicId.MBC, LogicId.MBCCIW)
-    firsts = [z[0] for z in snaps]
-    for op in (AND, OR, IMP):
-        if plain_first_class:
-            # binary cells depend only on the first coordinates
-            opfn = BINARY_BA[op]
-            fc = ops.first_class
-            by_value = [[fc[opfn(algebra, a, b)] for b in algebra.elements()]
-                        for a in algebra.elements()]
-            table: list[int] = []
-            for a in firsts:
-                table.extend(map(by_value[a].__getitem__, firsts))
-            tables[op] = table
-        else:
-            tables[op] = [ops.binary_cell(op, i, j) for i in rng for j in rng]
+    snaps = universe(logic, algebra)
+    tables = _MaximalCells(logic, algebra, snaps).tables()
     labels = [snapshot_label(algebra, z) for z in snaps]
     malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
     return SwapStructure(logic, algebra, malg, snaps)
@@ -240,118 +292,25 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
 # Membership and characterization
 # ----------------------------------------------------------------------
 
-def _in_universe(logic: LogicId, A: BoolAlg, z: Snapshot) -> bool:
-    z3 = z3_view(A, z)
-    if logic is LogicId.CPLE_PLUS:
-        return True
-    if A.join(z[0], z[1]) != A.top:
-        return False
-    if logic is LogicId.MBC:
-        return A.meet(A.meet(z[0], z[1]), z3) == A.bot
-    # pair-family constraint, stated on the triple view
-    if len(z) == 3 and z3 != A.comp(A.meet(z[0], z[1])):
-        return False
-    if logic is LogicId.CPLE and z[1] != A.comp(z[0]):
-        return False
-    return True
-
-
 def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     """Structural membership of a candidate in a logic's class of structures.
 
-    Pair and triple encodings are reconciled through the derived third
-    coordinate, so any candidate can be tested against any logic.
+    Some first coordinate is 0, every snapshot lies in the logic's universe,
+    and every cell lies inside the maximal cell over the candidate's own
+    snapshots.  Pair and triple encodings are reconciled through the derived
+    third coordinate, so any candidate can be tested against any logic.
     """
     A = cand.algebra
     snaps = cand.snapshots
     if all(z[0] != A.bot for z in snaps):
         return False
-    if any(not _in_universe(logic, A, z) for z in snaps):
+    if not all(_in_universe(logic, A, z) for z in snaps):
         return False
-
-    k = len(snaps)
     tables = cand.malg.tables
-    first = [z[0] for z in snaps]
-    everything = (1 << k) - 1
-    with_first: dict[int, int] = {}
-    for u, a in enumerate(first):
-        with_first[a] = with_first.get(a, 0) | 1 << u
-
-    def off_first(value: int) -> int:
-        """The snapshots whose first coordinate is not ``value``."""
-        return everything & ~with_first.get(value, 0)
-
-    # a cell passes when it avoids the snapshots with the wrong first
-    # coordinate, or with the wrong exact value where a cell is pinned
-    for op in (AND, OR, IMP):
-        ba_op = BINARY_BA[op]
-        table = tables[op]
-        off_rows = {a: [off_first(ba_op(A, a, b)) for b in first]
-                    for a in set(first)}
-        for i in range(k):
-            if any(map(and_, table[i * k:(i + 1) * k], off_rows[first[i]])):
-                return False
-    bounded: dict[int, int] = {}
-    for i, cell in enumerate(tables[NEG]):
-        if cell & off_first(snaps[i][1]):
-            return False
-        if logic in _NEG_BOUNDED:
-            z1 = snaps[i][0]
-            if z1 not in bounded:
-                bounded[z1] = mask_of(u for u, w in enumerate(snaps)
-                                      if A.le(w[1], z1))
-            if cell & ~bounded[z1]:
-                return False
-
-    def pinned_cell(want: Snapshot) -> int:
-        pinned = cand.index_of.get(want)
-        return 0 if pinned is None else 1 << pinned
-
-    for i, cell in enumerate(tables[CIRC]):
-        if cell & off_first(z3_view(A, snaps[i])):
-            return False
-        if logic in _CIRC_SINGLETON:
-            inconsistency = A.meet(snaps[i][0], snaps[i][1])
-            want: Snapshot = (A.comp(inconsistency), inconsistency)
-            if not cand.pair_mode:
-                want = want + (A.top,)
-            if cell != pinned_cell(want):
-                return False
-    if logic in (LogicId.LFI1O, LogicId.CIORE):
-        ops = _pinned_ops(logic, A)
-        for op in (AND, OR, IMP):
-            table = tables[op]
-            for i in range(k):
-                for j in range(k):
-                    want = ops(op, snaps[i], snaps[j], cand.pair_mode)
-                    if table[i * k + j] != pinned_cell(want):
-                        return False
-        for i, cell in enumerate(tables[NEG]):
-            want = (snaps[i][1], snaps[i][0])
-            if not cand.pair_mode:
-                want = want + (A.comp(A.meet(want[0], want[1])),)
-            if cell != pinned_cell(want):
-                return False
-    return True
-
-
-def _pinned_ops(logic: LogicId, A: BoolAlg):
-    def compute(op: str, z: Snapshot, w: Snapshot, pair: bool) -> Snapshot:
-        first = BINARY_BA[op](A, z[0], w[0])
-        if logic is LogicId.LFI1O:
-            if op == AND:
-                second = A.join(z[1], w[1])
-            elif op == OR:
-                second = A.meet(z[1], w[1])
-            else:
-                second = A.meet(z[0], w[1])
-        else:
-            second = A.imp(first, A.meet(A.meet(z[0], z[1]), A.meet(w[0], w[1])))
-        out: Snapshot = (first, second)
-        if not pair:
-            out = out + (A.comp(A.meet(first, second)),)
-        return out
-    return compute
+    maximal = _MaximalCells(logic, A, snaps).tables()
+    # a cell lies inside its bound exactly when joining it leaves the bound
+    return all(all(map(eq, map(or_, tables[op], bounds), bounds))
+               for op, bounds in maximal.items())
 
 
 def validates(structure: SwapStructure, schema: Formula) -> bool:
@@ -560,9 +519,21 @@ def kalman_classic(algebra: BoolAlg) -> KalmanAlgebra:
 
 
 def kleene_law_failures(K: KalmanAlgebra) -> list[str]:
-    """Kleene-algebra laws checked exhaustively on a pair algebra."""
-    failures = []
+    """Kleene-algebra laws checked exhaustively on a pair algebra.
+
+    The three-variable laws visit every triple of pairs, so this raises
+    ``CellCapExceeded`` before checking anything when the carrier size cubed
+    is above ``cell_cap()``.
+    """
     C = K.carrier
+    triples = len(C) ** 3
+    cap = cell_cap()
+    if triples > cap:
+        raise CellCapExceeded(
+            f"Kleene laws over {K.algebra.atoms} atoms would visit {triples} "
+            f"triples, above the cap {cap} "
+            "(set SWAPKIT_MAX_CELLS to raise it)")
+    failures = []
     if any(K.meet(x, y) not in K.index_of or K.join(x, y) not in K.index_of
            for x in C for y in C):
         failures.append("closure")
@@ -632,10 +603,9 @@ def find_swap_decoding(logic: LogicId, malg: MultiAlg,
     structure for the logic over the given algebra, or None.  Exhaustive,
     so only sensible for small carriers.
     """
-    pool = universe(logic, algebra)
-    if malg.size > 5 or len(pool) > 30:
+    if malg.size > 5 or len(universe(logic, A2)) ** algebra.atoms > 30:
         raise ValueError("decoding search is exhaustive; keep the instances small")
-    for combo in itertools.permutations(pool, malg.size):
+    for combo in itertools.permutations(universe(logic, algebra), malg.size):
         cand = SwapStructure(logic, algebra, malg, combo)
         if is_swap_for(logic, cand):
             return list(combo)
@@ -654,86 +624,50 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
 
     Sampling follows the shape of the class: first a sub-universe closed
     enough that every maximal cell still meets it (repaired by adding random
-    witnesses), then each non-pinned cell is shrunk to a random nonempty
-    subset of the maximal cell.
+    witnesses), then each cell with more than one member is shrunk to a
+    random nonempty subset of the maximal cell.
     """
-    ops = _universe_ops(logic, algebra)
-    k = len(ops.snaps)
-    zero_first = [i for i, z in enumerate(ops.snaps) if z[0] == algebra.bot]
+    pool = universe(logic, algebra)
+    full = _MaximalCells(logic, algebra, pool)
+    k = len(pool)
+    zero_first = [i for i, z in enumerate(pool) if z[0] == algebra.bot]
 
     target = max_universe or k
     want = rng.randint(1, max(1, min(k, target) - 1))
     chosen = set(rng.sample(range(k), want))
     chosen.add(rng.choice(zero_first))
 
+    def maximal_cells(picked):
+        for i in picked:
+            yield full.neg(i)
+            yield full.circ(i)
+            for j in picked:
+                for op in (AND, OR, IMP):
+                    yield full.binary(op, i, j)
+
     # repair: every maximal cell over the chosen set must meet the set
     while True:
         inside = mask_of(chosen)
-        missing = 0
-        picked = sorted(chosen)
-        for i in picked:
-            for cell in (ops.neg_cell(i), ops.circ_cell(i)):
-                if not cell & inside:
-                    missing = cell
-                    break
-            if missing:
-                break
-            for j in picked:
-                for op in (AND, OR, IMP):
-                    cell = ops.binary_cell(op, i, j)
-                    if not cell & inside:
-                        missing = cell
-                        break
-                if missing:
-                    break
-            if missing:
-                break
-        if not missing:
+        missing = next((cell for cell in maximal_cells(sorted(chosen))
+                        if not cell & inside), None)
+        if missing is None:
             break
         chosen.add(rng.choice(members(missing)))
 
-    picked = sorted(chosen)
-    snaps = [ops.snaps[u] for u in picked]
+    snaps = [pool[u] for u in sorted(chosen)]
 
-    def restrict(cell: int, pinned: bool) -> int:
-        if pinned or cell & (cell - 1) == 0 or rng.random() > shrink:
+    def restrict(cell: int) -> int:
+        if cell & (cell - 1) == 0 or rng.random() > shrink:
             return cell
         inside = members(cell)
         keep = rng.randint(1, len(inside))
         return mask_of(rng.sample(inside, keep))
 
-    pinned = {NEG: logic in _DETERMINISTIC, CIRC: logic in _CIRC_SINGLETON,
-              AND: logic in _DETERMINISTIC, OR: logic in _DETERMINISTIC,
-              IMP: logic in _DETERMINISTIC}
-    tables = {op: [restrict(cell, pinned[op]) for cell in table]
-              for op, table in _cut_tables(ops, picked).items()}
+    tables = {op: [restrict(cell) for cell in table] for op, table in
+              _MaximalCells(logic, algebra, snaps).tables().items()}
     labels = [snapshot_label(algebra, z) for z in snaps]
     malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
     return SwapStructure(logic, algebra, malg, snaps)
-
-
-def _cut_tables(ops: _UniverseOps,
-                chosen: Sequence[int]) -> dict[str, list[int]]:
-    """The maximal cells at the chosen snapshots (ascending indices into the
-    universe), cut down to them and renumbered; a cell that misses every
-    chosen snapshot becomes 0."""
-    inside = mask_of(chosen)
-    pos = {u: i for i, u in enumerate(chosen)}
-    renumbered: dict[int, int] = {}
-
-    def cut(cell: int) -> int:
-        got = renumbered.get(cell)
-        if got is None:
-            got = renumbered[cell] = mask_of(
-                pos[u] for u in members(cell & inside))
-        return got
-
-    tables = {NEG: [cut(ops.neg_cell(i)) for i in chosen],
-              CIRC: [cut(ops.circ_cell(i)) for i in chosen]}
-    for op in (AND, OR, IMP):
-        tables[op] = [cut(ops.binary_cell(op, i, j))
-                      for i in chosen for j in chosen]
-    return tables
 
 
 def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
@@ -744,21 +678,19 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
     Yields SwapStructure candidates (cells are the maximal cells cut down
     to the sub-universe).
     """
-    ops = _universe_ops(logic, algebra)
-    k = len(ops.snaps)
+    k = len(universe(logic, A2)) ** algebra.atoms
     if k > limit:
         raise ValueError(f"universe has {k} elements; exhaustive enumeration "
                          f"is capped at {limit}")
-    zero_first = mask_of(i for i, z in enumerate(ops.snaps)
-                         if z[0] == algebra.bot)
+    pool = universe(logic, algebra)
+    zero_first = mask_of(i for i, z in enumerate(pool) if z[0] == algebra.bot)
     for bits in range(1, 1 << k):
         if not bits & zero_first:
             continue
-        chosen = members(bits)
-        tables = _cut_tables(ops, chosen)
+        snaps = [pool[u] for u in members(bits)]
+        tables = _MaximalCells(logic, algebra, snaps).tables()
         if any(0 in table for table in tables.values()):
             continue
-        snaps = [ops.snaps[u] for u in chosen]
         labels = [snapshot_label(algebra, z) for z in snaps]
         malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
         yield SwapStructure(logic, algebra, malg, snaps)

@@ -263,6 +263,8 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
         rep.check(not kleene_law_failures(K),
                   f"{n} atoms: pair construction satisfies the Kleene laws")
 
+        # the formula below is restated on purpose, not read from the clause
+        # table in swap.py: a check derived from that table would be vacuous
         ciore = full_swap(LogicId.CIORE, A)
         bad = 0
         for z in ciore.snapshots:

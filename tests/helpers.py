@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-from swapkit.formula import (CIRC, IMP, NEG, Binary, Formula, Unary,
-                             Var, circ, conj, disj, imp, neg)
+from swapkit.formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula,
+                             Unary, Var, circ, conj, disj, imp, neg)
 from swapkit.hilbert import (SCHEMAS, Axiom, ModusPonens, Premise, Proof,
                              axioms_of)
 from swapkit.logics import LogicId
@@ -32,6 +32,42 @@ def sets_of(malg: MultiAlg) -> dict:
     return {op: {args: malg.cell(op, args)
                  for args in product(range(malg.size), repeat=arity)}
             for op, arity in malg.signature.operators()}
+
+
+# ----------------------------------------------------------------------
+# The paper's cell clauses, one set comprehension each
+# ----------------------------------------------------------------------
+
+def clause_cell(logic: LogicId, algebra, snapshots, op: str, args) -> set:
+    """The maximal cell of a logic's full structure at ``args``, as the set
+    of positions in ``snapshots`` (the logic's universe) its clauses allow."""
+    L = LogicId
+    top = algebra.top
+    views = [(z[0], z[1], z[2] if len(z) == 3 else top & ~(z[0] & z[1]))
+             for z in snapshots]
+    every = range(len(views))
+    z1, z2, z3 = views[args[0]]
+    if op == NEG:
+        if logic in (L.LFI1O, L.CIORE):
+            return {u for u in every if views[u][:2] == (z2, z1)}
+        if logic in (L.CI, L.CPLE):
+            return {u for u in every
+                    if views[u][0] == z2 and views[u][1] | z1 == z1}
+        return {u for u in every if views[u][0] == z2}
+    if op == CIRC:
+        if logic in (L.MBCCI, L.CI, L.CPLE, L.LFI1O, L.CIORE):
+            return {u for u in every
+                    if views[u][:2] == (top & ~(z1 & z2), z1 & z2)}
+        return {u for u in every if views[u][0] == z3}
+    w1, w2, _ = views[args[1]]
+    first = {AND: z1 & w1, OR: z1 | w1, IMP: (top & ~z1) | w1}[op]
+    if logic is L.LFI1O:
+        second = {AND: z2 | w2, OR: z2 & w2, IMP: z1 & w2}[op]
+    elif logic is L.CIORE:
+        second = (top & ~first) | (z1 & z2 & w1 & w2)
+    else:
+        return {u for u in every if views[u][0] == first}
+    return {u for u in every if views[u][:2] == (first, second)}
 
 
 def random_formula(rng: random.Random, variables, depth: int) -> Formula:

@@ -192,6 +192,16 @@ def test_quotient_demo_json():
     assert payload["swap_structure_for_mbC"] is False
 
 
+def test_kalman_refuses_large_algebras_before_checking(monkeypatch):
+    # 3**5 = 243 pairs, 14348907 triples for the three-variable laws
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    code, text = capture(["kalman", "--atoms", "5"])
+    assert code == 2
+    assert text == ("error: Kleene laws over 5 atoms would visit 14348907 "
+                    "triples, above the cap 1000000 (set SWAPKIT_MAX_CELLS "
+                    "to raise it)\n")
+
+
 def test_kalman_json():
     code, text = capture(["kalman", "--json"])
     assert code == 0

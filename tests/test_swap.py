@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from swapkit.boolalg import A2, all_ba_homs, identity_hom, powerset_algebra
-from swapkit.formula import parse
+from swapkit.formula import LOGIC_SIGNATURE, parse
 from swapkit.logics import CHAIN, LogicId
 from swapkit.multialg import (is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
@@ -15,7 +15,7 @@ from swapkit.swap import (SwapStructure, characterize, duality_star,
                           mbc_quotient_counterexample, product_iso,
                           random_swap_substructure, represent, universe,
                           validates)
-from helpers import malg_from_sets, sets_of
+from helpers import clause_cell, malg_from_sets, sets_of
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -45,21 +45,20 @@ def test_universe_sizes_two_atoms():
 
 
 def test_full_swap_cells_match_defining_clauses_randomly():
+    # every cell over A2, 200 random cells over P2, against the clauses
+    # written out independently in helpers.clause_cell
     rng = random.Random(1)
     for logic in L:
         for algebra in (A2, P2):
             b = full_swap(logic, algebra)
             assert is_swap_for(logic, b)
-            # spot: every binary cell is exactly the first-coordinate class
-            if logic in (L.CPLE_PLUS, L.MBC, L.MBCCIW):
-                for _ in range(20):
-                    i = rng.randrange(b.malg.size)
-                    j = rng.randrange(b.malg.size)
-                    cell = b.malg.cell("&", (i, j))
-                    want = algebra.meet(b.snapshots[i][0], b.snapshots[j][0])
-                    assert {b.snapshots[u][0] for u in cell} == {want}
-                    assert all(z in b.index_of for z in
-                               (b.snapshots[u] for u in cell))
+            cells = [(op, args) for op, arity in LOGIC_SIGNATURE.operators()
+                     for args in product(range(b.malg.size), repeat=arity)]
+            if algebra is P2:
+                cells = rng.sample(cells, min(200, len(cells)))
+            for op, args in cells:
+                assert set(b.malg.cell(op, args)) == clause_cell(
+                    logic, algebra, b.snapshots, op, args), (logic, op, args)
 
 
 def test_full_swap_respects_the_cell_cap(monkeypatch):
@@ -73,6 +72,25 @@ def test_full_swap_respects_the_cell_cap(monkeypatch):
     monkeypatch.setenv("SWAPKIT_MAX_CELLS", "19845")
     b = full_swap(L.CI, P4)
     assert b.malg.size == 81 and b.malg.cell_count() == 19845
+
+
+def test_exhaustive_searches_count_before_enumerating(monkeypatch):
+    # 10 atoms: 9**10 pairs, 5**10 mbC triples; only A2 may be enumerated
+    from swapkit import swap
+    seen = []
+
+    def counted(logic, algebra):
+        seen.append(algebra.atoms)
+        return universe(logic, algebra)
+
+    monkeypatch.setattr(swap, "universe", counted)
+    P10 = powerset_algebra(10)
+    with pytest.raises(ValueError, match="capped at 10"):
+        next(swap.closed_subuniverse_restrictions(L.MBCCIW, P10))
+    m5 = full_swap(L.MBC, A2)
+    with pytest.raises(ValueError, match="keep the instances small"):
+        find_swap_decoding(L.MBC, m5.malg, P10)
+    assert seen and set(seen) == {1}
 
 
 def test_full_mbc_tested_against_mbcciw_fails():
@@ -328,6 +346,16 @@ def test_kalman_classic_n3():
     K = kalman_classic(A2)
     assert [K.label(z) for z in K.carrier] == ["F", "f", "T"]
     assert K.neg(K.center) == K.center
+    assert kleene_law_failures(K) == []
+
+
+def test_kleene_law_failures_respects_the_cell_cap(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    K = kalman_classic(P2)  # 9 pairs, 729 triples
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "728")
+    with pytest.raises(CellCapExceeded, match="would visit 729 triples"):
+        kleene_law_failures(K)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "729")
     assert kleene_law_failures(K) == []
 
 
