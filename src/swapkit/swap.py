@@ -242,27 +242,29 @@ class _MaximalCells:
             return self._pin(first, self.clauses.second(A, op, z, w, first))
         return self.first_class.get(first, 0)
 
+    def table(self, op: str) -> list[int]:
+        """The maximal cells of one operator, as a flat table."""
+        rng = range(len(self.snaps))
+        if op == NEG:
+            return [self.neg(i) for i in rng]
+        if op == CIRC:
+            return [self.circ(i) for i in rng]
+        if self.clauses.second:
+            return [self.binary(op, i, j) for i in rng for j in rng]
+        # unpinned binary cells depend only on the first coordinates
+        A, fc = self.algebra, self.first_class
+        opfn = BINARY_BA[op]
+        firsts = [z[0] for z in self.snaps]
+        rows = {a: [fc.get(opfn(A, a, b), 0) for b in firsts]
+                for a in set(firsts)}
+        table: list[int] = []
+        for a in firsts:
+            table.extend(rows[a])
+        return table
+
     def tables(self) -> dict[str, list[int]]:
         """Every maximal cell, as flat tables in ``LOGIC_SIGNATURE`` order."""
-        A = self.algebra
-        rng = range(len(self.snaps))
-        tables = {NEG: [self.neg(i) for i in rng],
-                  CIRC: [self.circ(i) for i in rng]}
-        firsts = [z[0] for z in self.snaps]
-        fc = self.first_class
-        for op in (AND, OR, IMP):
-            if self.clauses.second:
-                tables[op] = [self.binary(op, i, j) for i in rng for j in rng]
-                continue
-            # unpinned binary cells depend only on the first coordinates
-            opfn = BINARY_BA[op]
-            rows = {a: [fc.get(opfn(A, a, b), 0) for b in firsts]
-                    for a in set(firsts)}
-            table: list[int] = []
-            for a in firsts:
-                table.extend(rows[a])
-            tables[op] = table
-        return tables
+        return {op: self.table(op) for op, _ in LOGIC_SIGNATURE.operators()}
 
 
 @lru_cache(maxsize=None)
@@ -306,11 +308,13 @@ def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
         return False
     if not all(_in_universe(logic, A, z) for z in snaps):
         return False
-    tables = cand.malg.tables
-    maximal = _MaximalCells(logic, A, snaps).tables()
-    # a cell lies inside its bound exactly when joining it leaves the bound
-    return all(all(map(eq, map(or_, tables[op], bounds), bounds))
-               for op, bounds in maximal.items())
+    maximal = _MaximalCells(logic, A, snaps)
+    for op, cells in cand.malg.tables.items():
+        bounds = maximal.table(op)
+        # a cell lies inside its bound exactly when joining it leaves it
+        if not all(map(eq, map(or_, cells, bounds), bounds)):
+            return False
+    return True
 
 
 def validates(structure: SwapStructure, schema: Formula) -> bool:
