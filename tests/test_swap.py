@@ -75,7 +75,8 @@ def test_full_swap_respects_the_cell_cap(monkeypatch):
 
 
 def test_exhaustive_searches_count_before_enumerating(monkeypatch):
-    # 10 atoms: 9**10 pairs, 5**10 mbC triples; only A2 may be enumerated
+    # 10 atoms: 4**10 pairs or 8**10 triples to filter; only the per-atom
+    # universe over A2 may be enumerated
     from swapkit import swap
     seen = []
 
