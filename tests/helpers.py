@@ -35,6 +35,39 @@ def sets_of(malg: MultiAlg) -> dict:
 
 
 # ----------------------------------------------------------------------
+# Broken lattice operations
+# ----------------------------------------------------------------------
+
+def rock_paper_scissors(x: int, y: int) -> int:
+    """Commutative and idempotent on 0, 1, 2, but not associative."""
+    if x == y:
+        return x
+    return {(0, 1): 0, (1, 2): 1, (0, 2): 2}[min(x, y), max(x, y)]
+
+
+def lattice_from_order(below):
+    """Meet and join tables of the lattice where below[y] is {x : x <= y}."""
+    n = len(below)
+
+    def bound(x, y, le):
+        common = [z for z in range(n) if le(z, x) and le(z, y)]
+        return next(z for z in common if all(le(w, z) for w in common))
+
+    meet = [[bound(x, y, lambda a, b: a in below[b]) for y in range(n)]
+            for x in range(n)]
+    join = [[bound(x, y, lambda a, b: b in below[a]) for y in range(n)]
+            for x in range(n)]
+    return meet, join
+
+
+#: M3, the diamond: 0 below three incomparable atoms 1, 2, 3, all below 4
+DIAMOND = lattice_from_order([{0}, {0, 1}, {0, 2}, {0, 3}, {0, 1, 2, 3, 4}])
+#: N5, the pentagon: 0 < 1 < 2 < 4 and 0 < 3 < 4
+PENTAGON = lattice_from_order([{0}, {0, 1}, {0, 1, 2}, {0, 3},
+                               {0, 1, 2, 3, 4}])
+
+
+# ----------------------------------------------------------------------
 # The paper's cell clauses, one set comprehension each
 # ----------------------------------------------------------------------
 

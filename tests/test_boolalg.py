@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from swapkit.boolalg import (A2, CilError, NotClassical, algebra_atoms,
-                             all_ba_homs, atom_embedding, ba_product,
-                             boolean_law_failures, cil_from_boolalg,
-                             compose_ba, duplicate, identity_hom, is_ba_hom,
-                             is_cil_hom, make_cil, powerset_algebra,
-                             universal_extension)
-from helpers import find_algebra_isomorphism
+from swapkit.boolalg import (A2, CilError, ImplicationUndefined, NotALattice,
+                             NotClassical, algebra_atoms, all_ba_homs,
+                             atom_embedding, ba_product, boolean_law_failures,
+                             cil_from_boolalg, compose_ba, duplicate,
+                             identity_hom, is_ba_hom, is_cil_hom, make_cil,
+                             powerset_algebra, universal_extension)
+from helpers import (DIAMOND, PENTAGON, find_algebra_isomorphism,
+                     rock_paper_scissors)
 
 
 def test_powerset_sizes_and_degenerate():
@@ -119,6 +120,50 @@ def test_three_chain_fails_classicality_at_middle():
 def test_bad_tables_rejected():
     with pytest.raises(CilError):
         make_cil(["a", "b"], [[0, 0], [0, 0]], [[0, 1], [1, 0]])
+
+
+# ----------------------------------------------------------------------
+# Broken operations: each lattice law fails on a table made to break it
+# ----------------------------------------------------------------------
+
+def _calls(table):
+    return lambda x, y: table[x][y]
+
+
+@pytest.mark.parametrize("size, meet, join, want", [
+    (2, lambda x, y: x, max, ["commutativity", "complementation"]),
+    (3, rock_paper_scissors, max,
+     ["associativity", "absorption", "distributivity", "identity",
+      "complementation"]),
+    (2, min, min, ["absorption", "identity", "complementation"]),
+    (5, _calls(DIAMOND[0]), _calls(DIAMOND[1]), ["distributivity"]),
+], ids=["commutativity", "associativity", "absorption", "distributivity"])
+def test_boolean_law_failures_names_each_broken_law(size, meet, join, want):
+    assert boolean_law_failures(size, meet, join, 0, size - 1) == want
+
+
+_NON_ASSOCIATIVE = [[rock_paper_scissors(x, y) for y in range(3)]
+                    for x in range(3)]
+
+
+@pytest.mark.parametrize("labels, meet, join, error, message", [
+    ("ab", [[0, 0], [1, 1]], [[0, 1], [0, 1]], NotALattice,
+     "commutativity fails"),
+    ("abc", _NON_ASSOCIATIVE, _NON_ASSOCIATIVE, NotALattice,
+     "associativity fails"),
+    ("ab", [[0, 0], [0, 1]], [[0, 0], [0, 1]], NotALattice,
+     "absorption fails"),
+    # non-distributive lattices pass as lattices and fail at the implication
+    ("01234", *DIAMOND, ImplicationUndefined,
+     "1 -> 0: supremum of the candidate set escapes the set"),
+    ("01234", *PENTAGON, ImplicationUndefined,
+     "2 -> 1: supremum of the candidate set escapes the set"),
+], ids=["non-commutative", "non-associative", "non-absorptive", "M3", "N5"])
+def test_make_cil_rejects_broken_tables(labels, meet, join, error, message):
+    with pytest.raises(CilError) as err:
+        make_cil(list(labels), meet, join)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_powerset_as_cil_matches_boolean_implication():

@@ -9,13 +9,14 @@ from swapkit.logics import CHAIN, LogicId
 from swapkit.multialg import (is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
                               is_submultialgebra, ma_product, quotient)
-from swapkit.swap import (SwapStructure, characterize, duality_star,
-                          find_swap_decoding, full_swap, is_swap_for,
-                          kalman_classic, kalman_star, kleene_law_failures,
-                          mbc_quotient_counterexample, product_iso,
-                          random_swap_substructure, represent, universe,
-                          validates)
-from helpers import clause_cell, malg_from_sets, sets_of
+from swapkit.swap import (KalmanAlgebra, SwapStructure, characterize,
+                          duality_star, find_swap_decoding, full_swap,
+                          is_swap_for, kalman_classic, kalman_star,
+                          kleene_law_failures, mbc_quotient_counterexample,
+                          product_iso, random_swap_substructure, represent,
+                          universe, validates)
+from helpers import (clause_cell, lattice_from_order, malg_from_sets,
+                     rock_paper_scissors, sets_of)
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -358,6 +359,39 @@ def test_kleene_law_failures_respects_the_cell_cap(monkeypatch):
         kleene_law_failures(K)
     monkeypatch.setenv("SWAPKIT_MAX_CELLS", "729")
     assert kleene_law_failures(K) == []
+
+
+def _by_position(op):
+    """A pair-algebra operation that acts as op on carrier positions."""
+    return lambda self, z, w: self.carrier[op(self.index_of[z],
+                                              self.index_of[w])]
+
+
+#: M3 with a chain of four above its top, to cover the nine pairs over P2
+_DIAMOND_AND_TAIL = lattice_from_order(
+    [{0}, {0, 1}, {0, 2}, {0, 3}] + [set(range(y + 1)) for y in range(4, 9)])
+
+
+@pytest.mark.parametrize("algebra, patches, want", [
+    (A2, {"meet": _by_position(lambda x, y: x)},
+     ["commutativity", "de-morgan", "bounds"]),
+    (A2, {"meet": _by_position(rock_paper_scissors)},
+     ["associativity", "absorption", "distributivity", "de-morgan", "bounds",
+      "kleene"]),
+    (A2, {"join": KalmanAlgebra.meet},
+     ["absorption", "de-morgan", "bounds", "kleene"]),
+    (P2, {"meet": _by_position(lambda x, y: _DIAMOND_AND_TAIL[0][x][y]),
+          "join": _by_position(lambda x, y: _DIAMOND_AND_TAIL[1][x][y])},
+     ["distributivity", "de-morgan", "kleene"]),
+    (A2, {"neg": lambda self, z: z}, ["de-morgan", "kleene", "center"]),
+], ids=["commutativity", "associativity", "absorption", "distributivity",
+        "negation"])
+def test_kleene_law_failures_names_each_broken_law(monkeypatch, algebra,
+                                                   patches, want):
+    K = kalman_classic(algebra)
+    for name, method in patches.items():
+        monkeypatch.setattr(KalmanAlgebra, name, method)
+    assert kleene_law_failures(K) == want
 
 
 def test_kalman_involution_two_atoms():
