@@ -59,9 +59,6 @@ class Signature:
 #: The logic signature: no constants, ~ and @ unary, & | -> binary.
 LOGIC_SIGNATURE = Signature(unary=UNARY_OPS, binary=BINARY_OPS)
 
-#: The Boolean-algebra signature: & | -> plus the constants 0 and 1.
-BA_SIGNATURE = Signature(constants=("0", "1"), binary=BINARY_OPS)
-
 
 @dataclass(frozen=True)
 class Var:
@@ -262,11 +259,6 @@ def _render(f: Formula, min_prec: int) -> str:
 # ----------------------------------------------------------------------
 # Structure
 # ----------------------------------------------------------------------
-
-def subformulas(f: Formula) -> list[Formula]:
-    """All subformulas of ``f``, children before parents, no duplicates."""
-    return subformula_closure([f])
-
 
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     """Every subformula of every input exactly once, children first."""

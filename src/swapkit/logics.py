@@ -31,16 +31,6 @@ class LogicId(enum.Enum):
         """Pairs from mbCciw upward; triples for CPLe+ and mbC."""
         return self not in (LogicId.CPLE_PLUS, LogicId.MBC)
 
-    @property
-    def strictness(self) -> int:
-        """Position in the inclusion chain; larger means a smaller class."""
-        return _STRICTNESS[self]
-
-    def __lt__(self, other: "LogicId") -> bool:
-        if not isinstance(other, LogicId):
-            return NotImplemented
-        return (self.strictness, self.value) < (other.strictness, other.value)
-
 
 _DISPLAY = {
     LogicId.CPLE_PLUS: "CPLe+",
@@ -51,17 +41,6 @@ _DISPLAY = {
     LogicId.CPLE: "CPLe",
     LogicId.LFI1O: "LFI1o",
     LogicId.CIORE: "Ciore",
-}
-
-_STRICTNESS = {
-    LogicId.CPLE_PLUS: 0,
-    LogicId.MBC: 1,
-    LogicId.MBCCIW: 2,
-    LogicId.MBCCI: 3,
-    LogicId.CI: 4,
-    LogicId.CPLE: 5,
-    LogicId.LFI1O: 5,
-    LogicId.CIORE: 5,
 }
 
 #: The linear fragment of the class-inclusion order, most restrictive first.

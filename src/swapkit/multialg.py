@@ -289,7 +289,7 @@ def _kron_table(left: list[int], p: int, right: list[int], q: int,
     return out
 
 
-def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
+def ma_product(factors: Sequence[MultiAlg],
                signature: Optional[Signature] = None
                ) -> tuple[MultiAlg, list[MaMap]]:
     """Componentwise product with full-homomorphism projections.
@@ -299,8 +299,6 @@ def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
     The empty product is the one-element terminal multialgebra; pass the
     signature explicitly for that case.
     """
-    if cap is None:
-        cap = cell_cap()
     if not factors:
         if signature is None:
             raise ValueError("the empty product needs an explicit signature")
@@ -317,6 +315,7 @@ def ma_product(factors: Sequence[MultiAlg], cap: Optional[int] = None,
     for s in sizes:
         total *= s
     cells = sum(total ** arity for _op, arity in sig.operators())
+    cap = cell_cap()
     if cells > cap:
         raise CellCapExceeded(
             f"product would need {cells} cells, above the cap {cap} "

@@ -45,12 +45,13 @@ from functools import lru_cache
 from operator import eq, or_
 from typing import Callable, Optional, Sequence
 
-from .boolalg import A2, BaHom, BoolAlg, ba_product, is_ba_hom
+from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures, ba_product,
+                      is_ba_hom)
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .hilbert import DEFINING_SCHEMAS, SCHEMAS
 from .logics import LogicId
 from .multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
-                       cell_cap, mask_of, members, quotient)
+                       cell_cap, ma_product, mask_of, members, quotient)
 
 Snapshot = tuple[int, ...]
 
@@ -179,9 +180,6 @@ class SwapStructure:
     @property
     def pair_mode(self) -> bool:
         return len(self.snapshots[0]) == 2
-
-    def labels(self) -> tuple[str, ...]:
-        return self.malg.labels
 
     def __repr__(self) -> str:
         return (f"SwapStructure({self.logic.display}, "
@@ -370,7 +368,6 @@ def product_iso(logic: LogicId, family: Sequence[BoolAlg]):
     """
     if not family:
         raise ValueError("family must be nonempty")
-    from .multialg import ma_product
     factors = [full_swap(logic, a) for a in family]
     prod_malg, projections = ma_product([f.malg for f in factors])
     prod_alg, _ = ba_product(list(family))
@@ -408,18 +405,11 @@ class Representation:
     product: MultiAlg
 
 
-_power_cache: dict[tuple[LogicId, int], MultiAlg] = {}
-
-
+@lru_cache(maxsize=None)
 def power_of_a2(logic: LogicId, n: int) -> MultiAlg:
     """The n-fold product of the full structure over the two-element algebra."""
-    from .multialg import ma_product
-    got = _power_cache.get((logic, n))
-    if got is None:
-        factor = full_swap(logic, A2).malg
-        got, _ = ma_product([factor] * n)
-        _power_cache[(logic, n)] = got
-    return got
+    prod, _ = ma_product([full_swap(logic, A2).malg] * n)
+    return prod
 
 
 def represent(logic: LogicId, structure: SwapStructure) -> Representation:
@@ -469,13 +459,28 @@ class KalmanAlgebra:
     __slots__ = ("algebra", "carrier", "index_of")
 
     def __init__(self, algebra: BoolAlg):
+        """Raises ``CellCapExceeded`` before building anything when the
+        3**atoms pairs are more than ``cell_cap()`` allows."""
+        count = 3 ** algebra.atoms
+        cap = cell_cap()
+        if count > cap:
+            raise CellCapExceeded(
+                f"pair construction over {algebra.atoms} atoms would need "
+                f"{count} pairs, above the cap {cap} "
+                "(set SWAPKIT_MAX_CELLS to raise it)")
         self.algebra = algebra
+        pairs = []
+        for a in algebra.elements():
+            # every b with a & b = 0 is a submask of ~a
+            rest = b = algebra.comp(a)
+            while True:
+                pairs.append((a, b))
+                if not b:
+                    break
+                b = (b - 1) & rest
         # linear layering compatible with the order (a,b) <= (c,d) iff
         # a <= c and d <= b: bottom (0,1) first, top (1,0) last
-        self.carrier = tuple(sorted(
-            ((a, b) for a in algebra.elements() for b in algebra.elements()
-             if algebra.meet(a, b) == algebra.bot),
-            key=lambda z: (z[0], -z[1])))
+        self.carrier = tuple(sorted(pairs, key=lambda z: (z[0], -z[1])))
         self.index_of = {z: i for i, z in enumerate(self.carrier)}
 
     @property
@@ -537,24 +542,10 @@ def kleene_law_failures(K: KalmanAlgebra) -> list[str]:
             f"Kleene laws over {K.algebra.atoms} atoms would visit {triples} "
             f"triples, above the cap {cap} "
             "(set SWAPKIT_MAX_CELLS to raise it)")
-    failures = []
     if any(K.meet(x, y) not in K.index_of or K.join(x, y) not in K.index_of
            for x in C for y in C):
-        failures.append("closure")
-        return failures
-    if any(K.meet(x, y) != K.meet(y, x) or K.join(x, y) != K.join(y, x)
-           for x in C for y in C):
-        failures.append("commutativity")
-    if any(K.meet(K.meet(x, y), z) != K.meet(x, K.meet(y, z))
-           or K.join(K.join(x, y), z) != K.join(x, K.join(y, z))
-           for x in C for y in C for z in C):
-        failures.append("associativity")
-    if any(K.meet(x, K.join(x, y)) != x or K.join(x, K.meet(x, y)) != x
-           for x in C for y in C):
-        failures.append("absorption")
-    if any(K.meet(x, K.join(y, z)) != K.join(K.meet(x, y), K.meet(x, z))
-           for x in C for y in C for z in C):
-        failures.append("distributivity")
+        return ["closure"]
+    failures = _lattice_law_failures(C, K.meet, K.join)
     if any(K.neg(K.neg(x)) != x for x in C):
         failures.append("involution")
     if any(K.neg(K.join(x, y)) != K.meet(K.neg(x), K.neg(y)) for x in C for y in C):
@@ -622,14 +613,14 @@ def find_swap_decoding(logic: LogicId, malg: MultiAlg,
 
 def random_swap_substructure(rng: random.Random, logic: LogicId,
                              algebra: BoolAlg,
-                             max_universe: Optional[int] = None,
-                             shrink: float = 0.5) -> SwapStructure:
+                             max_universe: Optional[int] = None
+                             ) -> SwapStructure:
     """A random member of the logic's class over the algebra.
 
     Sampling follows the shape of the class: first a sub-universe closed
     enough that every maximal cell still meets it (repaired by adding random
-    witnesses), then each cell with more than one member is shrunk to a
-    random nonempty subset of the maximal cell.
+    witnesses), then each cell with more than one member is shrunk, with
+    probability one half, to a random nonempty subset of the maximal cell.
     """
     pool = universe(logic, algebra)
     full = _MaximalCells(logic, algebra, pool)
@@ -661,7 +652,7 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
     snaps = [pool[u] for u in sorted(chosen)]
 
     def restrict(cell: int) -> int:
-        if cell & (cell - 1) == 0 or rng.random() > shrink:
+        if cell & (cell - 1) == 0 or rng.random() > 0.5:
             return cell
         inside = members(cell)
         keep = rng.randint(1, len(inside))

@@ -58,8 +58,8 @@ def characterization_agreement(seed: int = 0,
                                atom_counts: Sequence[int] = (1, 2),
                                samples_per_logic: int = 200,
                                exhaustive_limit: int = 10,
-                               big_universe_samples: int = 40,
-                               max_sampled_universe: int = 16) -> tuple[bool, list[str]]:
+                               big_universe_samples: int = 40
+                               ) -> tuple[bool, list[str]]:
     """For every logic: is_swap_for == characterize on full structures, on
     closed sub-universe restrictions (exhaustive where the universe allows,
     seeded samples above the limit), and on random submultialgebras."""
@@ -84,7 +84,7 @@ def characterization_agreement(seed: int = 0,
                 label = f"all closed restrictions of {src.display}/{A.atoms} atoms"
             else:
                 candidates = (random_swap_substructure(rng, src, A,
-                                                       max_universe=max_sampled_universe)
+                                                       max_universe=16)
                               for _ in range(big_universe_samples))
                 label = (f"{big_universe_samples} sampled restrictions of "
                          f"{src.display}/{A.atoms} atoms")
@@ -106,8 +106,7 @@ def characterization_agreement(seed: int = 0,
             bad = None
             for _ in range(per_logic):
                 src = rng.choice(ALL_LOGICS)
-                cand = random_swap_substructure(rng, src, A,
-                                                max_universe=max_sampled_universe)
+                cand = random_swap_substructure(rng, src, A, max_universe=16)
                 if characterize(logic, cand) != is_swap_for(logic, cand):
                     bad = cand
                     break
@@ -175,9 +174,7 @@ def class_chain_check(seed: int = 0, atom_counts: Sequence[int] = (1, 2),
 # ----------------------------------------------------------------------
 
 def kalman_suite(seed: int = 0, pairs: int = 100, max_atoms: int = 3,
-                 hom_check_atoms: int = 2,
-                 family_logics: Sequence[LogicId] = ALL_LOGICS
-                 ) -> tuple[bool, list[str]]:
+                 hom_check_atoms: int = 2) -> tuple[bool, list[str]]:
     rng = random.Random(seed)
     rep = Report()
 
@@ -210,7 +207,7 @@ def kalman_suite(seed: int = 0, pairs: int = 100, max_atoms: int = 3,
     rep.check(mono_bad == 0, "injective homomorphisms lift injectively")
     rep.check(hom_bad == 0, "lifted maps are homomorphisms")
 
-    for logic in family_logics:
+    for logic in ALL_LOGICS:
         for family in ([A2], [A2, A2], [A2, powerset_algebra(2)],
                        [A2, A2, A2]):
             iso, _prod, _projs, _alg = product_iso(logic, family)
@@ -288,8 +285,8 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
 # ----------------------------------------------------------------------
 
 def representation_suite(seed: int = 0, full_atoms: int = 3,
-                         randoms_per_logic: int = 50,
-                         max_sub: int = 24) -> tuple[bool, list[str]]:
+                         randoms_per_logic: int = 50
+                         ) -> tuple[bool, list[str]]:
     rng = random.Random(seed)
     rep = Report()
 
@@ -315,7 +312,7 @@ def representation_suite(seed: int = 0, full_atoms: int = 3,
                 n = rng.randint(1, full_atoms)
                 A = powerset_algebra(n)
                 draw = random_swap_substructure(rng, logic, A,
-                                                max_universe=max_sub)
+                                                max_universe=24)
                 full = full_swap(logic, A)
                 if draw.malg.size < full.malg.size or draw.malg != full.malg:
                     cand = draw

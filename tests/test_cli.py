@@ -202,6 +202,16 @@ def test_kalman_refuses_large_algebras_before_checking(monkeypatch):
                     "to raise it)\n")
 
 
+def test_kalman_refuses_too_many_pairs_at_once(monkeypatch):
+    # 3**16 = 43046721 pairs: refused by a count, before any is built
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    code, text = capture(["kalman", "--atoms", "16"])
+    assert code == 2
+    assert text == ("error: pair construction over 16 atoms would need "
+                    "43046721 pairs, above the cap 1000000 (set "
+                    "SWAPKIT_MAX_CELLS to raise it)\n")
+
+
 def test_kalman_json():
     code, text = capture(["kalman", "--json"])
     assert code == 0

@@ -221,10 +221,11 @@ def test_ma_product_pairing_property():
             assert compose_maps(proj, tupled).mapping == g.mapping
 
 
-def test_ma_product_cap():
+def test_ma_product_cap(monkeypatch):
     m = m5()
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", str(10 ** 4))
     with pytest.raises(CellCapExceeded):
-        ma_product([m] * 8, cap=10 ** 4)
+        ma_product([m] * 8)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])

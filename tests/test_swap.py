@@ -351,6 +351,24 @@ def test_kalman_classic_n3():
     assert kleene_law_failures(K) == []
 
 
+def test_kalman_classic_counts_pairs_before_building(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "8")
+    with pytest.raises(CellCapExceeded, match="would need 9 pairs, above "
+                                              "the cap 8"):
+        kalman_classic(P2)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "9")
+    assert kalman_classic(P2).size == 9
+
+
+def test_kalman_carrier_is_every_disjoint_pair_in_layer_order():
+    for n in range(5):
+        A = powerset_algebra(n)
+        want = sorted(((a, b) for a in A.elements() for b in A.elements()
+                       if a & b == 0), key=lambda z: (z[0], -z[1]))
+        assert kalman_classic(A).carrier == tuple(want)
+
+
 def test_kleene_law_failures_respects_the_cell_cap(monkeypatch):
     from swapkit.multialg import CellCapExceeded
     K = kalman_classic(P2)  # 9 pairs, 729 triples
