@@ -11,7 +11,7 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swapkit.boolalg import A2
+from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import Var, circ, conj, disj, imp, neg
 from swapkit.logics import LogicId
 from swapkit.nmatrix import characteristic_matrix, decide, nmatrix_of
@@ -83,6 +83,21 @@ def test_decide_matches_oracle_on_characteristic_matrices(logic, query):
 @given(st.sampled_from(list(L)), st.integers(0, 2 ** 32 - 1), queries())
 def test_decide_matches_oracle_on_random_substructures(logic, seed, query):
     structure = random_swap_substructure(random.Random(seed), logic, A2)
+    try:
+        matrix = nmatrix_of(structure)
+    except ValueError:
+        assume(False)
+    premises, goal = query
+    assert_matches_oracle(matrix, premises, goal)
+
+
+@SETTINGS
+@given(st.sampled_from(list(L)), st.integers(0, 2 ** 32 - 1), queries())
+def test_decide_matches_oracle_on_two_atom_substructures(logic, seed, query):
+    """Carriers over two atoms are larger and split into more value
+    classes than those over A2."""
+    structure = random_swap_substructure(random.Random(seed), logic,
+                                         powerset_algebra(2), max_universe=8)
     try:
         matrix = nmatrix_of(structure)
     except ValueError:
