@@ -5,23 +5,23 @@ cell determined by its children's values.  Consequence over a finite matrix
 reduces to a search over legal assignments on the subformula closure: cells
 are never empty, so any legal partial valuation extends to a full one.
 
-The search branches, at each formula, only over representatives of the
-carrier elements that behave identically in every position the formula
-actually occupies (same rows in the parent operators' tables).  Two values
-with equal designation and equal parent cells are interchangeable in a
-countermodel, so this pruning loses nothing.
-
 Each query is compiled once: the closure becomes a children-first list of
 nodes, each carrying its operator's table (none for a variable), the indices
-of its children and a want-code saying whether the countermodel must
-designate it (a premise), must not (the goal), must do both, which no value
-can (the goal is also a premise, so the query holds without a search), or
-is free.  The search reads only those ints and lists, with the tables' cells
-masked by the want-code's admissible values: no formula is hashed or
-compared after compilation, because the recursive hash and equality of
-formula trees would otherwise dominate its cost.
-"""
+of its children, an ``allowed`` bitmask and a value-class map.  The mask is
+the set of values a countermodel may give the node: the whole carrier, the
+designated values for a premise, the undesignated values for the goal, and
+none when the goal is also a premise, so that the query holds without a
+search.  The class map numbers the carrier so that two values share an id
+exactly when the node's parents cannot tell them apart: equal cells in
+every (operator, argument slot) where the node occurs.  Such values are
+interchangeable in a countermodel, so the search tries one value per class
+and loses nothing.  Class maps are memoized on the matrix by slot set.
 
+The search reads only those ints and lists, with the tables' cells masked by
+``allowed``: no formula is hashed or compared after compilation, because the
+recursive hash and equality of formula trees would otherwise dominate its
+cost.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -39,12 +39,13 @@ from .swap import SwapStructure, full_swap
 class Nmatrix:
     """A multialgebra plus a designated subset of its carrier."""
 
-    __slots__ = ("malg", "designated", "_slots_cache")
+    __slots__ = ("malg", "designated", "_classes")
 
     def __init__(self, malg: MultiAlg, designated):
         self.malg = malg
         self.designated = frozenset(designated)
-        self._slots_cache = None
+        #: sorted (operator, slot) pairs -> class id of each carrier element
+        self._classes: dict[tuple[tuple[str, int], ...], tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Nmatrix({self.malg.size} values, {len(self.designated)} designated)"
@@ -145,40 +146,30 @@ class Verdict:
 # The decision engine
 # ----------------------------------------------------------------------
 
-def _slot_partitions(matrix: Nmatrix) -> dict[tuple[str, int], tuple[int, ...]]:
-    """For each operator argument slot, group carrier elements with equal
-    table rows; interchangeable elements share a class id."""
-    if matrix._slots_cache is not None:
-        return matrix._slots_cache
-    malg = matrix.malg
-    k = malg.size
-    parts: dict[tuple[str, int], tuple[int, ...]] = {}
-    for op, arity in malg.signature.operators():
-        table = malg.tables[op]
-        if arity == 1:
-            parts[(op, 0)] = _canon(table)
-        elif arity == 2:
-            rows = [tuple(table[u * k:(u + 1) * k]) for u in range(k)]
-            cols = [tuple(table[u::k]) for u in range(k)]
-            parts[(op, 0)] = _canon(rows)
-            parts[(op, 1)] = _canon(cols)
-    matrix._slots_cache = parts
-    return parts
-
-
-def _canon(signatures: list) -> tuple[int, ...]:
-    ids: dict = {}
-    out = []
-    for s in signatures:
-        got = ids.get(s)
-        if got is None:
-            got = ids[s] = len(ids)
-        out.append(got)
-    return tuple(out)
-
-
-#: Want-codes: what the countermodel needs of a node's value.
-_FREE, _DESIGNATED, _UNDESIGNATED, _EMPTY = range(4)
+def _value_classes(matrix: Nmatrix,
+                   slots: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
+    """Class ids of the carrier elements, numbered in ascending order, where
+    two elements share an id exactly when their unary cells, rows (slot 0)
+    or columns (slot 1) agree in every listed slot.  No slots: one class."""
+    classes = matrix._classes.get(slots)
+    if classes is None:
+        malg = matrix.malg
+        k = malg.size
+        views = []
+        for op, slot in slots:
+            table = malg.tables[op]
+            if malg.signature.arity_of(op) == 1:
+                views.append(table)
+            elif slot == 0:
+                views.append([tuple(table[u * k:(u + 1) * k])
+                              for u in range(k)])
+            else:
+                views.append([tuple(table[u::k]) for u in range(k)])
+        ids: dict[tuple, int] = {}
+        classes = matrix._classes[slots] = tuple(
+            ids.setdefault(tuple(view[u] for view in views), len(ids))
+            for u in range(k))
+    return classes
 
 
 class _Search:
@@ -194,10 +185,8 @@ class _Search:
         k = self.size = malg.size
         self.closure = subformula_closure(list(premises) + [goal])
         node_of = {f: i for i, f in enumerate(self.closure)}
-        self.carrier = (1 << k) - 1
+        carrier = (1 << k) - 1
         designated = mask_of(matrix.designated)
-        #: want-code -> the values it admits
-        self.admits = (self.carrier, designated, self.carrier & ~designated, 0)
         #: admitted cell -> its members, ascending
         self.decoded: dict[int, tuple[int, ...]] = {}
         self.tables: list[Optional[list[int]]] = []
@@ -214,35 +203,24 @@ class _Search:
             self.kids.append(kids)
             for slot, child in enumerate(kids):
                 slot_sets[child].add((f.op, slot))
-        self.want = [_FREE] * len(self.closure)
+        self.allowed = [carrier] * len(self.closure)
         for p in premises:
-            self.want[node_of[p]] = _DESIGNATED
-        g = node_of[goal]
-        self.want[g] = _EMPTY if self.want[g] == _DESIGNATED else _UNDESIGNATED
+            self.allowed[node_of[p]] = designated
+        self.allowed[node_of[goal]] &= carrier & ~designated
+        self.classes = [_value_classes(matrix, tuple(sorted(used)))
+                        for used in slot_sets]
         self.vals: list[Optional[int]] = [None] * len(self.closure)
 
-        slots = _slot_partitions(matrix)
-        self.partition: list[Optional[tuple[int, ...]]] = []
-        for used in slot_sets:
-            if not used:
-                self.partition.append(None)
-                continue
-            keys = sorted(used)
-            self.partition.append(_canon(
-                [tuple(slots[s][u] for s in keys) for u in range(k)]))
-
     def candidates(self, i: int) -> tuple[int, ...]:
+        cell = self.allowed[i]
         table = self.tables[i]
-        if table is None:
-            cell = self.carrier
-        else:
+        if table is not None:
             kids = self.kids[i]
             vals = self.vals
             if len(kids) == 1:
-                cell = table[vals[kids[0]]]
+                cell &= table[vals[kids[0]]]
             else:
-                cell = table[vals[kids[0]] * self.size + vals[kids[1]]]
-        cell &= self.admits[self.want[i]]
+                cell &= table[vals[kids[0]] * self.size + vals[kids[1]]]
         got = self.decoded.get(cell)
         if got is None:
             got = self.decoded[cell] = members(cell)
@@ -252,17 +230,13 @@ class _Search:
         """Fill nodes i.. with a countermodel extension, if one exists."""
         if i == len(self.closure):
             return True
-        part = self.partition[i]
-        cands = self.candidates(i)
-        if part is None:
-            cands = cands[:1]  # no parents: all filtered values interchangeable
+        classes = self.classes[i]
         seen: set[int] = set()
-        for u in cands:
-            if part is not None:
-                c = part[u]
-                if c in seen:
-                    continue
-                seen.add(c)
+        for u in self.candidates(i):
+            c = classes[u]
+            if c in seen:
+                continue
+            seen.add(c)
             self.vals[i] = u
             if self.search(i + 1):
                 return True
@@ -281,7 +255,7 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
     one that already failed, so the first countermodel it finds is the least.
     """
     search = _Search(matrix, premises, goal)
-    if _EMPTY in search.want or not search.search(0):
+    if 0 in search.allowed or not search.search(0):
         return Verdict(True)
     values = {f: search.vals[i] for i, f in enumerate(search.closure)}
     pv = PartialValuation(matrix, tuple(search.closure), values)
