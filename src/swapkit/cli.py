@@ -16,8 +16,8 @@ from .hilbert import check_proof, parse_proof
 from .logics import LogicId, parse_logic
 from .multialg import arg_tuples, is_multicongruence
 from .nmatrix import UnsupportedLogicError, decide_logic
-from .swap import (duality_star, find_swap_decoding, full_swap,
-                   kalman_classic, kleene_law_failures,
+from .swap import (_check_kleene_triples, duality_star, find_swap_decoding,
+                   full_swap, kalman_classic, kleene_law_failures,
                    mbc_quotient_counterexample, represent, universe)
 from .tables import render_tables, tables_json
 from .verify import SUITES
@@ -172,6 +172,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_kalman(args, out) -> int:
     algebra = powerset_algebra(args.atoms)
+    _check_kleene_triples(args.atoms)  # by count, before any pair is built
     K = kalman_classic(algebra)
     failures = kleene_law_failures(K)
     star = duality_star(algebra)

@@ -81,10 +81,6 @@ class Binary:
 Formula = Union[Var, Unary, Binary]
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def neg(f: Formula) -> Unary:
     return Unary(NEG, f)
 

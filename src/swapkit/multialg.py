@@ -54,6 +54,15 @@ class CellCapExceeded(ValueError):
     pass
 
 
+def _check_cap(count: int, need: str, unit: str) -> None:
+    """Refuse, before anything is built, a count above ``cell_cap()``."""
+    cap = cell_cap()
+    if count > cap:
+        raise CellCapExceeded(
+            f"{need} {count} {unit}, above the cap {cap} "
+            "(set SWAPKIT_MAX_CELLS to raise it)")
+
+
 def members(cell: int) -> tuple[int, ...]:
     """The carrier indices in a cell bitmask, ascending."""
     out = []
@@ -314,12 +323,8 @@ def ma_product(factors: Sequence[MultiAlg],
     total = 1
     for s in sizes:
         total *= s
-    cells = sum(total ** arity for _op, arity in sig.operators())
-    cap = cell_cap()
-    if cells > cap:
-        raise CellCapExceeded(
-            f"product would need {cells} cells, above the cap {cap} "
-            "(set SWAPKIT_MAX_CELLS to raise it)")
+    _check_cap(sum(total ** arity for _op, arity in sig.operators()),
+               "product would need", "cells")
 
     labels = ["(" + ",".join(parts) + ")"
               for parts in iproduct(*[f.labels for f in factors])]

@@ -50,8 +50,8 @@ from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures, ba_product,
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .hilbert import DEFINING_SCHEMAS, SCHEMAS
 from .logics import LogicId
-from .multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
-                       cell_cap, ma_product, mask_of, members, quotient)
+from .multialg import (EquivRel, MaMap, MultiAlg, _check_cap, ma_product,
+                       mask_of, members, quotient)
 
 Snapshot = tuple[int, ...]
 
@@ -143,20 +143,38 @@ def _in_universe(logic: LogicId, A: BoolAlg, z: Snapshot) -> bool:
     return _CLAUSES[logic].universe(A, z[0], z[1], z3_view(A, z))
 
 
+def _universe_size(logic: LogicId, atoms: int) -> int:
+    """The size of a universe, known before it is built: see ``universe``."""
+    return len(universe(logic, A2)) ** atoms
+
+
 @lru_cache(maxsize=None)
 def universe(logic: LogicId, algebra: BoolAlg) -> tuple[Snapshot, ...]:
     """The snapshot universe of a logic over a finite Boolean algebra: the
-    triples (pairs from mbCciw upward) that its clauses admit, ascending."""
+    triples (pairs from mbCciw upward) that its clauses admit, ascending.
+
+    Every universe clause is a Boolean equation, which holds exactly when it
+    holds at each atom, so beyond A2 the universe is the power of the one
+    over A2, one factor per atom.  Raises ``CellCapExceeded`` before
+    building that power when it has more snapshots than ``cell_cap()``.
+    """
     A = algebra
-    width = 2 if logic.pair_mode else 3
-    snaps = [z for z in itertools.product(A.elements(), repeat=width)
-             if _in_universe(logic, A, z)]
     if A.atoms == 1:
+        width = 2 if logic.pair_mode else 3
+        snaps = [z for z in itertools.product(A.elements(), repeat=width)
+                 if _in_universe(logic, A, z)]
         order = _A2_ORDER_PAIRS if logic.pair_mode else _A2_ORDER_TRIPLES
-        named = [z for z in order if z in set(snaps)]
-        if len(named) == len(snaps):
-            snaps = named
-    return tuple(snaps)
+        named = [z for z in order if z in snaps]
+        return tuple(named if len(named) == len(snaps) else snaps)
+    _check_cap(_universe_size(logic, A.atoms),
+               f"{logic.display} universe over {A.atoms} atoms would need",
+               "snapshots")
+    base = universe(logic, A2)
+    snaps = [(0,) * len(base[0])]
+    for atom in range(A.atoms):
+        snaps = [tuple(c | b << atom for c, b in zip(z, s))
+                 for z in snaps for s in base]
+    return tuple(sorted(snaps))
 
 
 class SwapStructure:
@@ -272,15 +290,9 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     Raises ``CellCapExceeded`` before building anything when its tables
     would hold more cells than ``cell_cap()`` allows.
     """
-    # a universe is the per-atom universe raised to the number of atoms
-    k = len(universe(logic, A2)) ** algebra.atoms
-    cells = 3 * k * k + 2 * k
-    cap = cell_cap()
-    if cells > cap:
-        raise CellCapExceeded(
-            f"full {logic.display} structure over {algebra.atoms} atoms would "
-            f"need {cells} cells, above the cap {cap} "
-            "(set SWAPKIT_MAX_CELLS to raise it)")
+    k = _universe_size(logic, algebra.atoms)
+    _check_cap(3 * k * k + 2 * k, f"full {logic.display} structure over "
+               f"{algebra.atoms} atoms would need", "cells")
     snaps = universe(logic, algebra)
     tables = _MaximalCells(logic, algebra, snaps).tables()
     labels = [snapshot_label(algebra, z) for z in snaps]
@@ -447,6 +459,21 @@ def represent(logic: LogicId, structure: SwapStructure) -> Representation:
 # The classical pair construction and its duality with pair universes
 # ----------------------------------------------------------------------
 
+def _check_pairs(atoms: int) -> int:
+    """The 3**atoms pairs over that many atoms, refused above the cap."""
+    pairs = 3 ** atoms
+    _check_cap(pairs, f"pair construction over {atoms} atoms would need",
+               "pairs")
+    return pairs
+
+
+def _check_kleene_triples(atoms: int) -> None:
+    """Refuse, by count, the pairs over that many atoms and then the triples
+    of pairs that the Kleene laws visit, each above the cap."""
+    _check_cap(_check_pairs(atoms) ** 3,
+               f"Kleene laws over {atoms} atoms would visit", "triples")
+
+
 class KalmanAlgebra:
     """Pairs (a, b) with a & b = 0: a centered Kleene algebra.
 
@@ -461,13 +488,7 @@ class KalmanAlgebra:
     def __init__(self, algebra: BoolAlg):
         """Raises ``CellCapExceeded`` before building anything when the
         3**atoms pairs are more than ``cell_cap()`` allows."""
-        count = 3 ** algebra.atoms
-        cap = cell_cap()
-        if count > cap:
-            raise CellCapExceeded(
-                f"pair construction over {algebra.atoms} atoms would need "
-                f"{count} pairs, above the cap {cap} "
-                "(set SWAPKIT_MAX_CELLS to raise it)")
+        _check_pairs(algebra.atoms)
         self.algebra = algebra
         pairs = []
         for a in algebra.elements():
@@ -535,13 +556,7 @@ def kleene_law_failures(K: KalmanAlgebra) -> list[str]:
     is above ``cell_cap()``.
     """
     C = K.carrier
-    triples = len(C) ** 3
-    cap = cell_cap()
-    if triples > cap:
-        raise CellCapExceeded(
-            f"Kleene laws over {K.algebra.atoms} atoms would visit {triples} "
-            f"triples, above the cap {cap} "
-            "(set SWAPKIT_MAX_CELLS to raise it)")
+    _check_kleene_triples(K.algebra.atoms)
     if any(K.meet(x, y) not in K.index_of or K.join(x, y) not in K.index_of
            for x in C for y in C):
         return ["closure"]
@@ -598,7 +613,7 @@ def find_swap_decoding(logic: LogicId, malg: MultiAlg,
     structure for the logic over the given algebra, or None.  Exhaustive,
     so only sensible for small carriers.
     """
-    if malg.size > 5 or len(universe(logic, A2)) ** algebra.atoms > 30:
+    if malg.size > 5 or _universe_size(logic, algebra.atoms) > 30:
         raise ValueError("decoding search is exhaustive; keep the instances small")
     for combo in itertools.permutations(universe(logic, algebra), malg.size):
         cand = SwapStructure(logic, algebra, malg, combo)
@@ -673,7 +688,7 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
     Yields SwapStructure candidates (cells are the maximal cells cut down
     to the sub-universe).
     """
-    k = len(universe(logic, A2)) ** algebra.atoms
+    k = _universe_size(logic, algebra.atoms)
     if k > limit:
         raise ValueError(f"universe has {k} elements; exhaustive enumeration "
                          f"is capped at {limit}")

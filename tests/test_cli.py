@@ -212,6 +212,22 @@ def test_kalman_refuses_too_many_pairs_at_once(monkeypatch):
                     "SWAPKIT_MAX_CELLS to raise it)\n")
 
 
+def test_kalman_refuses_triples_before_building_pairs(monkeypatch):
+    # 3**12 = 531441 pairs pass the cap; their triples do not
+    from swapkit.swap import KalmanAlgebra
+
+    def refuse(self, algebra):
+        raise AssertionError("pair carrier built")
+
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    monkeypatch.setattr(KalmanAlgebra, "__init__", refuse)
+    code, text = capture(["kalman", "--atoms", "12"])
+    assert code == 2
+    assert text == ("error: Kleene laws over 12 atoms would visit "
+                    "150094635296999121 triples, above the cap 1000000 (set "
+                    "SWAPKIT_MAX_CELLS to raise it)\n")
+
+
 def test_kalman_json():
     code, text = capture(["kalman", "--json"])
     assert code == 0

@@ -45,6 +45,44 @@ def test_universe_sizes_two_atoms():
     assert len(universe(L.CPLE, P2)) == 4
 
 
+def _admitted_by_clauses(logic, algebra, z) -> bool:
+    """The universe clauses of the module docstring, written out again."""
+    top = algebra.top
+    z1, z2 = z[0], z[1]
+    z3 = z[2] if len(z) == 3 else top & ~(z1 & z2)
+    if logic is L.CPLE_PLUS:
+        return True
+    if logic is L.CPLE:
+        return z2 == top & ~z1 and z3 == top
+    return z1 | z2 == top and (z1 & z2 & z3 == 0 if logic is L.MBC else
+                               z3 == top & ~(z1 & z2))
+
+
+@pytest.mark.parametrize("atoms", range(5))
+def test_universe_is_every_admitted_tuple_in_ascending_order(atoms):
+    # beyond A2 the universe is built as a power of the one over A2; over
+    # A2 it is in the named order instead
+    A = powerset_algebra(atoms)
+    for logic in L:
+        width = 2 if logic.pair_mode else 3
+        want = [z for z in product(A.elements(), repeat=width)
+                if _admitted_by_clauses(logic, A, z)]
+        got = universe(logic, A)
+        assert (sorted(got) if atoms == 1 else list(got)) == want, logic
+
+
+def test_universe_counts_snapshots_before_building(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    universe.cache_clear()
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "24")
+    with pytest.raises(CellCapExceeded, match="mbC universe over 2 atoms "
+                                              "would need 25 snapshots, above "
+                                              "the cap 24"):
+        universe(L.MBC, P2)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "25")
+    assert len(universe(L.MBC, P2)) == 25
+
+
 def test_full_swap_cells_match_defining_clauses_randomly():
     # every cell over A2, 200 random cells over P2, against the clauses
     # written out independently in helpers.clause_cell
