@@ -555,8 +555,8 @@ def kleene_law_failures(K: KalmanAlgebra) -> list[str]:
     ``CellCapExceeded`` before checking anything when the carrier size cubed
     is above ``cell_cap()``.
     """
-    C = K.carrier
     _check_kleene_triples(K.algebra.atoms)
+    C = K.carrier
     if any(K.meet(x, y) not in K.index_of or K.join(x, y) not in K.index_of
            for x in C for y in C):
         return ["closure"]
