@@ -22,6 +22,7 @@ The search reads only those ints and lists, with the tables' cells masked by
 recursive hash and equality of formula trees would otherwise dominate its
 cost.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
