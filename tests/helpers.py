@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
-from swapkit.formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula,
-                             Unary, Var, circ, conj, disj, imp, neg)
+from swapkit.formula import (AND, CIRC, IFF, IMP, NEG, OR, Binary, Formula,
+                             ParseError, Unary, Var, circ, conj, disj, iff,
+                             imp, neg)
 from swapkit.hilbert import (SCHEMAS, Axiom, ModusPonens, Premise, Proof,
                              axioms_of)
 from swapkit.logics import LogicId
@@ -309,3 +311,112 @@ def epi_by_separation(f) -> bool:
         if all(g[f.mapping[x]] == h[f.mapping[x]] for x in range(f.source.size)):
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# Reference parser
+# ----------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(r"\s*(->|<->|[~@&|()]|[A-Za-z][A-Za-z0-9_]*)")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        tok = m.group(1)
+        kind = "ident" if tok[0].isalpha() else tok
+        tokens.append((kind, tok, m.start(1)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar
+
+        formula := disj (('->' | '<->') formula)?      right-associative
+        disj    := conj ('|' conj)*                    left-associative
+        conj    := unary ('&' unary)*                  left-associative
+        unary   := ('~' | '@') unary | atom
+        atom    := ident | '(' formula ')'
+
+    the oracle for ``swapkit.formula.parse``: same formulas, same errors.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse_formula(self) -> Formula:
+        left = self.parse_disj()
+        kind, _, _ = self.peek()
+        if kind == IMP:
+            self.next()
+            return imp(left, self.parse_formula())
+        if kind == IFF:
+            self.next()
+            return iff(left, self.parse_formula())
+        return left
+
+    def parse_disj(self) -> Formula:
+        f = self.parse_conj()
+        while self.peek()[0] == OR:
+            self.next()
+            f = disj(f, self.parse_conj())
+        return f
+
+    def parse_conj(self) -> Formula:
+        f = self.parse_unary()
+        while self.peek()[0] == AND:
+            self.next()
+            f = conj(f, self.parse_unary())
+        return f
+
+    def parse_unary(self) -> Formula:
+        kind, _, pos = self.peek()
+        if kind == NEG:
+            self.next()
+            return neg(self.parse_unary())
+        if kind == CIRC:
+            self.next()
+            return circ(self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self) -> Formula:
+        kind, text, pos = self.next()
+        if kind == "ident":
+            if not re.fullmatch(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*", text):
+                raise ParseError(f"bad identifier {text!r}", pos)
+            return Var(text)
+        if kind == "(":
+            f = self.parse_formula()
+            kind2, _, pos2 = self.next()
+            if kind2 != ")":
+                raise ParseError("expected ')'", pos2)
+            return f
+        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+
+
+def reference_parse(text: str) -> Formula:
+    parser = _ReferenceParser(_reference_tokenize(text))
+    f = parser.parse_formula()
+    kind, tok, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {tok!r}", pos)
+    return f

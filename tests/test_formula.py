@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapkit.formula import (Binary, ParseError, Signature, Unary, Var, circ,
                              conj, disj, imp, match_schema, neg, parse,
                              subformula_closure, substitute, to_text)
-from helpers import naive_subformulas, random_formula
+from helpers import naive_subformulas, random_formula, reference_parse
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -50,6 +52,51 @@ def test_parse_errors_carry_offset():
         parse("(p & q")
     with pytest.raises(ParseError):
         parse("p q")
+
+
+#: Token soup for the parser oracle: good and bad identifiers, every
+#: operator, parentheses, blanks and, rarely, a stray character.
+PARSER_TOKENS = ("p", "q", "p", "q", "x_1", "A", "B2", "pQ", "Ab", "~", "@",
+                 "&", "&", "|", "|", "->", "->", "<->", "(", "(", ")", ")",
+                 " ", " ", "  ", "$", "-")
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _formula_tokens():
+    """Token lists of well-formed formulas, some parentheses redundant."""
+    return st.recursive(
+        st.sampled_from([["p"], ["q"], ["A"]]),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["~", "@"]), sub).map(
+                lambda t: [t[0], *t[1]]),
+            st.tuples(sub, st.sampled_from(["&", "|", "->", "<->"]), sub).map(
+                lambda t: [*t[0], " ", t[1], " ", *t[2]]),
+            sub.map(lambda t: ["(", *t, ")"])),
+        max_leaves=8)
+
+
+def _near_misses():
+    """A well-formed formula with one token replaced or deleted."""
+    return st.tuples(_formula_tokens(), st.integers(0, 40),
+                     st.sampled_from(PARSER_TOKENS + ("",))).map(
+        lambda t: t[0][:t[1] % len(t[0])] + [t[2]]
+        + t[0][t[1] % len(t[0]) + 1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=3000)
+@given(st.one_of(st.lists(st.sampled_from(PARSER_TOKENS), max_size=24),
+                 _formula_tokens(), _near_misses()))
+def test_parse_matches_reference_parser(tokens):
+    # the same formula, or the same error text and offset, as recursive
+    # descent over the grammar
+    text = "".join(tokens)
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
 
 
 def test_signature_disjoint_arities():
