@@ -82,9 +82,6 @@ def run(argv=None, out=None) -> int:
     except (ParseError, UnsupportedLogicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    except RecursionError:
-        print("error: formula nested too deeply", file=out)
-        return 2
     except MemoryError:
         print("error: out of memory (lower --atoms or SWAPKIT_MAX_CELLS)",
               file=out)

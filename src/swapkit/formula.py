@@ -5,15 +5,21 @@ two unary ones: a paraconsistent negation ``~`` and a consistency marker
 ``@``.  ``<->`` is accepted by the parser as sugar for the conjunction of the
 two implications and never appears in an AST.
 
-Formulas are immutable trees.  A *schema* is just a formula whose variables
-are uppercase metavariables; lowercase identifiers are object variables.
+Formulas are immutable trees, hash-consed: constructing a node returns the
+live node with the same class and fields if there is one, so equal formulas
+are the same object, ``==`` is ``is`` and hashing takes constant time at any
+depth.  Every walk over a formula uses an explicit stack, so size is bounded
+by memory and time, not by the interpreter's recursion limit.  A *schema* is
+just a formula whose variables are uppercase metavariables; lowercase
+identifiers are object variables.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 NEG = "~"
 CIRC = "@"
@@ -60,25 +66,43 @@ class Signature:
 LOGIC_SIGNATURE = Signature(unary=UNARY_OPS, binary=BINARY_OPS)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Formula:
+    """A formula node; ``Var``, ``Unary`` and ``Binary`` are the kinds."""
+
+    __slots__ = ("__weakref__",)
+    #: (class, *fields) -> the live node with those fields
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        key = (cls, *fields)
+        node = cls._live.get(key)
+        if node is None:
+            node = cls._live[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"parse({to_text(self)!r})"
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    child: "Formula"
+class Var(Formula):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Formula"
-    right: "Formula"
+class Unary(Formula):
+    __slots__ = ("op", "child")
 
 
-Formula = Union[Var, Unary, Binary]
+class Binary(Formula):
+    __slots__ = ("op", "left", "right")
 
 
 def neg(f: Formula) -> Unary:
@@ -144,112 +168,96 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the grammar
+#: Binding strength of the binary operators; ``<->`` occurs only in text.
+_PREC = {IMP: 1, IFF: 1, OR: 2, AND: 3}
+
+
+def parse(text: str) -> Formula:
+    """Operator precedence over the grammar
 
         formula := disj (('->' | '<->') formula)?      right-associative
         disj    := conj ('|' conj)*                    left-associative
         conj    := unary ('&' unary)*                  left-associative
         unary   := ('~' | '@') unary | atom
         atom    := ident | '(' formula ')'
+
+    with a stack of operands and one of pending operators and parentheses.
     """
-
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_disj()
-        kind, _, _ = self.peek()
-        if kind == IMP:
-            self.next()
-            return imp(left, self.parse_formula())
-        if kind == IFF:
-            self.next()
-            return iff(left, self.parse_formula())
-        return left
-
-    def parse_disj(self) -> Formula:
-        f = self.parse_conj()
-        while self.peek()[0] == OR:
-            self.next()
-            f = disj(f, self.parse_conj())
-        return f
-
-    def parse_conj(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[0] == AND:
-            self.next()
-            f = conj(f, self.parse_unary())
-        return f
-
-    def parse_unary(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind == NEG:
-            self.next()
-            return neg(self.parse_unary())
-        if kind == CIRC:
-            self.next()
-            return circ(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind, text, pos = self.next()
-        if kind == "ident":
-            if not re.fullmatch(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*", text):
-                raise ParseError(f"bad identifier {text!r}", pos)
-            return Var(text)
-        if kind == "(":
-            f = self.parse_formula()
-            kind2, _, pos2 = self.next()
-            if kind2 != ")":
-                raise ParseError("expected ')'", pos2)
-            return f
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
-
-
-def parse(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
-    f = parser.parse_formula()
-    kind, tok, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return f
+    operands: list[Formula] = []
+    pending: list[str] = []
+    opened = 0
+    want_operand = True
+    for kind, tok, pos in _tokenize(text):
+        if want_operand:
+            if kind in UNARY_OPS or kind == "(":
+                pending.append(kind)
+                opened += kind == "("
+                continue
+            if kind != "ident":
+                raise ParseError(f"unexpected token {tok!r}" if tok
+                                 else "unexpected end of input", pos)
+            if not re.fullmatch(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*", tok):
+                raise ParseError(f"bad identifier {tok!r}", pos)
+            operands.append(Var(tok))
+            want_operand = False
+        else:
+            # An operand ended: apply the pending operators binding at least
+            # as tightly as this token (more tightly if it groups right); a
+            # token that is no binary operator ends the innermost group.
+            prec = _PREC.get(kind, 0)
+            floor = prec + (prec < 2)
+            while pending and _PREC.get(pending[-1], 0) >= floor:
+                op = pending.pop()
+                right, left = operands.pop(), operands.pop()
+                operands.append(iff(left, right) if op == IFF
+                                else Binary(op, left, right))
+            if prec:
+                pending.append(kind)
+                want_operand = True
+                continue
+            if not opened:
+                if kind != "end":
+                    raise ParseError(f"trailing input {tok!r}", pos)
+                return operands[0]
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            pending.pop()
+            opened -= 1
+        while pending and pending[-1] in UNARY_OPS:
+            operands.append(Unary(pending.pop(), operands.pop()))
 
 
 # ----------------------------------------------------------------------
 # Printing
 # ----------------------------------------------------------------------
 
-_PREC = {IMP: 1, OR: 2, AND: 3}
-
-
 def to_text(f: Formula) -> str:
-    """Render with minimal parentheses; ``parse(to_text(f)) == f``."""
-    return _render(f, 0)
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Unary):
-        return f.op + _render(f.child, 4)
-    prec = _PREC[f.op]
-    if f.op == IMP:
-        # right-associative: left child needs strictly higher precedence
-        body = f"{_render(f.left, prec + 1)} -> {_render(f.right, prec)}"
-    else:
-        # left-associative: right child needs strictly higher precedence
-        body = f"{_render(f.left, prec)} {f.op} {_render(f.right, prec + 1)}"
-    return f"({body})" if prec < min_prec else body
+    """Render with minimal parentheses; ``parse(to_text(f)) is f``."""
+    out: list[str] = []
+    # (node, least precedence it may show unparenthesized) or text to write
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, min_prec = item
+        if isinstance(g, Var):
+            out.append(g.name)
+        elif isinstance(g, Unary):
+            out.append(g.op)
+            stack.append((g.child, 4))
+        else:
+            prec = _PREC[g.op]
+            if prec < min_prec:
+                out.append("(")
+                stack.append(")")
+            # the child on the side it groups toward may share its precedence
+            right = g.op == IMP
+            stack.append((g.right, prec + (not right)))
+            stack.append(f" {g.op} ")
+            stack.append((g.left, prec + right))
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------
@@ -259,19 +267,18 @@ def _render(f: Formula, min_prec: int) -> str:
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     """Every subformula of every input exactly once, children first."""
     seen: dict[Formula, None] = {}
-
-    def walk(f: Formula) -> None:
+    # (node, whether its children are done), the next to visit on top
+    stack = [(f, False) for f in reversed(list(formulas))]
+    while stack:
+        f, done = stack.pop()
         if f in seen:
-            return
-        if isinstance(f, Unary):
-            walk(f.child)
-        elif isinstance(f, Binary):
-            walk(f.left)
-            walk(f.right)
-        seen[f] = None
-
-    for f in formulas:
-        walk(f)
+            continue
+        if done or isinstance(f, Var):
+            seen[f] = None
+        elif isinstance(f, Unary):
+            stack += ((f, True), (f.child, False))
+        else:
+            stack += ((f, True), (f.right, False), (f.left, False))
     return list(seen)
 
 
@@ -283,30 +290,33 @@ def match_schema(schema: Formula, candidate: Formula) -> Optional[dict[str, Form
     themselves.
     """
     binding: dict[str, Formula] = {}
-
-    def walk(s: Formula, c: Formula) -> bool:
+    stack = [(schema, candidate)]
+    while stack:
+        s, c = stack.pop()
         if isinstance(s, Var):
             if is_metavariable(s.name):
-                if s.name in binding:
-                    return binding[s.name] == c
-                binding[s.name] = c
-                return True
-            return s == c
-        if isinstance(s, Unary):
-            return isinstance(c, Unary) and s.op == c.op and walk(s.child, c.child)
-        return (isinstance(c, Binary) and s.op == c.op
-                and walk(s.left, c.left) and walk(s.right, c.right))
-
-    return binding if walk(schema, candidate) else None
+                if binding.setdefault(s.name, c) is not c:
+                    return None
+            elif s is not c:
+                return None
+        elif type(c) is not type(s) or s.op != c.op:
+            return None
+        elif isinstance(s, Unary):
+            stack.append((s.child, c.child))
+        else:
+            stack.append((s.right, c.right))
+            stack.append((s.left, c.left))
+    return binding
 
 
 def substitute(schema: Formula, binding: dict[str, Formula]) -> Formula:
     """Apply a metavariable substitution to a schema."""
-    if isinstance(schema, Var):
-        if is_metavariable(schema.name):
-            return binding[schema.name]
-        return schema
-    if isinstance(schema, Unary):
-        return Unary(schema.op, substitute(schema.child, binding))
-    return Binary(schema.op, substitute(schema.left, binding),
-                  substitute(schema.right, binding))
+    image: dict[Formula, Formula] = {}
+    for s in subformula_closure([schema]):
+        if isinstance(s, Var):
+            image[s] = binding[s.name] if is_metavariable(s.name) else s
+        elif isinstance(s, Unary):
+            image[s] = Unary(s.op, image[s.child])
+        else:
+            image[s] = Binary(s.op, image[s.left], image[s.right])
+    return image[schema]

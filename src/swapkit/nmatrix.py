@@ -6,21 +6,21 @@ reduces to a search over legal assignments on the subformula closure: cells
 are never empty, so any legal partial valuation extends to a full one.
 
 Each query is compiled once: the closure becomes a children-first list of
-nodes, each carrying its operator's table (none for a variable), the indices
-of its children, an ``allowed`` bitmask and a value-class map.  The mask is
-the set of values a countermodel may give the node: the whole carrier, the
-designated values for a premise, the undesignated values for the goal, and
-none when the goal is also a premise, so that the query holds without a
-search.  The class map numbers the carrier so that two values share an id
-exactly when the node's parents cannot tell them apart: equal cells in
-every (operator, argument slot) where the node occurs.  Such values are
-interchangeable in a countermodel, so the search tries one value per class
-and loses nothing.  Class maps are memoized on the matrix by slot set.
+nodes, each carrying its operator's table (one whole-carrier cell for a
+variable), its children's indices, an ``allowed`` bitmask and a value-class
+memo.  The mask is the set of values a countermodel may give the node: the
+whole carrier, the designated values for a premise, the undesignated values
+for the goal, and none when the goal is also a premise, so that the query
+holds without a search.  Two values share a value class exactly when the
+node's parents cannot tell them apart: equal cells in every (operator,
+argument slot) where the node occurs.  Such values are interchangeable in a
+countermodel, so the search tries one value per class and loses nothing.
+The memo, one per slot set on the matrix, maps a cell to the least member of
+each class it meets, ascending: the node's candidates, once its table cell
+is masked by ``allowed``.
 
-The search reads only those ints and lists, with the tables' cells masked by
-``allowed``: no formula is hashed or compared after compilation, because the
-recursive hash and equality of formula trees would otherwise dominate its
-cost.
+The search is a loop over node indices with one cursor per node, and reads
+only those ints, lists and memos: no formula is touched after compilation.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from .swap import SwapStructure, full_swap
 class Nmatrix:
     """A multialgebra plus a designated subset of its carrier."""
 
-    __slots__ = ("malg", "designated", "_classes")
+    __slots__ = ("malg", "designated", "_picks")
 
     def __init__(self, malg: MultiAlg, designated):
         self.malg = malg
         self.designated = frozenset(designated)
-        #: sorted (operator, slot) pairs -> class id of each carrier element
-        self._classes: dict[tuple[tuple[str, int], ...], tuple[int, ...]] = {}
+        #: sorted (operator, slot) pairs -> their value-class memo
+        self._picks: dict[tuple[tuple[str, int], ...], _Picks] = {}
 
     def __repr__(self) -> str:
         return f"Nmatrix({self.malg.size} values, {len(self.designated)} designated)"
@@ -78,9 +78,6 @@ class PartialValuation:
     matrix: Nmatrix
     domain: tuple[Formula, ...]
     values: dict[Formula, int]
-
-    def value(self, f: Formula) -> int:
-        return self.values[f]
 
     def designates(self, f: Formula) -> bool:
         return self.values[f] in self.matrix.designated
@@ -147,14 +144,16 @@ class Verdict:
 # The decision engine
 # ----------------------------------------------------------------------
 
-def _value_classes(matrix: Nmatrix,
-                   slots: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
-    """Class ids of the carrier elements, numbered in ascending order, where
-    two elements share an id exactly when their unary cells, rows (slot 0)
-    or columns (slot 1) agree in every listed slot.  No slots: one class."""
-    classes = matrix._classes.get(slots)
-    if classes is None:
-        malg = matrix.malg
+class _Picks(dict):
+    """cell -> the least member of each value class the cell meets,
+    ascending, made on demand.  Two carrier elements share a class exactly
+    when their unary cells, rows (slot 0) or columns (slot 1) agree in every
+    listed (operator, slot) pair; with no slots there is one class."""
+
+    __slots__ = ("class_of",)
+
+    def __init__(self, malg: MultiAlg, slots: tuple[tuple[str, int], ...]):
+        super().__init__()
         k = malg.size
         views = []
         for op, slot in slots:
@@ -167,10 +166,15 @@ def _value_classes(matrix: Nmatrix,
             else:
                 views.append([tuple(table[u::k]) for u in range(k)])
         ids: dict[tuple, int] = {}
-        classes = matrix._classes[slots] = tuple(
-            ids.setdefault(tuple(view[u] for view in views), len(ids))
-            for u in range(k))
-    return classes
+        self.class_of = [ids.setdefault(tuple(view[u] for view in views),
+                                        len(ids)) for u in range(k)]
+
+    def __missing__(self, cell: int) -> tuple[int, ...]:
+        least: dict[int, int] = {}
+        for u in members(cell):
+            least.setdefault(self.class_of[u], u)
+        picks = self[cell] = tuple(least.values())
+        return picks
 
 
 class _Search:
@@ -188,14 +192,12 @@ class _Search:
         node_of = {f: i for i, f in enumerate(self.closure)}
         carrier = (1 << k) - 1
         designated = mask_of(matrix.designated)
-        #: admitted cell -> its members, ascending
-        self.decoded: dict[int, tuple[int, ...]] = {}
-        self.tables: list[Optional[list[int]]] = []
+        self.tables: list[list[int]] = []
         self.kids: list[tuple[int, ...]] = []
         slot_sets: list[set[tuple[str, int]]] = [set() for _ in self.closure]
         for f in self.closure:
             if isinstance(f, Var):
-                self.tables.append(None)
+                self.tables.append([carrier])
                 self.kids.append(())
                 continue
             self.tables.append(malg.tables[f.op])
@@ -208,40 +210,36 @@ class _Search:
         for p in premises:
             self.allowed[node_of[p]] = designated
         self.allowed[node_of[goal]] &= carrier & ~designated
-        self.classes = [_value_classes(matrix, tuple(sorted(used)))
-                        for used in slot_sets]
-        self.vals: list[Optional[int]] = [None] * len(self.closure)
+        self.picks = []
+        for used in slot_sets:
+            slots = tuple(sorted(used))
+            memo = matrix._picks.get(slots)
+            if memo is None:
+                memo = matrix._picks[slots] = _Picks(malg, slots)
+            self.picks.append(memo)
+        self.vals: list[int] = [0] * len(self.closure)
 
     def candidates(self, i: int) -> tuple[int, ...]:
-        cell = self.allowed[i]
-        table = self.tables[i]
-        if table is not None:
-            kids = self.kids[i]
-            vals = self.vals
-            if len(kids) == 1:
-                cell &= table[vals[kids[0]]]
-            else:
-                cell &= table[vals[kids[0]] * self.size + vals[kids[1]]]
-        got = self.decoded.get(cell)
-        if got is None:
-            got = self.decoded[cell] = members(cell)
-        return got
+        pos = 0  # of the children's values in the node's table
+        for child in self.kids[i]:
+            pos = pos * self.size + self.vals[child]
+        return self.picks[i][self.allowed[i] & self.tables[i][pos]]
 
-    def search(self, i: int) -> bool:
-        """Fill nodes i.. with a countermodel extension, if one exists."""
-        if i == len(self.closure):
-            return True
-        classes = self.classes[i]
-        seen: set[int] = set()
-        for u in self.candidates(i):
-            c = classes[u]
-            if c in seen:
+    def search(self) -> bool:
+        """Fill every node with a countermodel value, if there is one."""
+        n = len(self.closure)
+        cursors = [iter(self.candidates(0))] + [iter(())] * (n - 1)
+        i = 0
+        while i >= 0:
+            u = next(cursors[i], None)
+            if u is None:  # every class at node i failed
+                i -= 1
                 continue
-            seen.add(c)
             self.vals[i] = u
-            if self.search(i + 1):
+            i += 1
+            if i == n:
                 return True
-        self.vals[i] = None
+            cursors[i] = iter(self.candidates(i))
         return False
 
 
@@ -256,7 +254,7 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
     one that already failed, so the first countermodel it finds is the least.
     """
     search = _Search(matrix, premises, goal)
-    if 0 in search.allowed or not search.search(0):
+    if 0 in search.allowed or not search.search():
         return Verdict(True)
     values = {f: search.vals[i] for i, f in enumerate(search.closure)}
     pv = PartialValuation(matrix, tuple(search.closure), values)

@@ -89,7 +89,7 @@ def _near_misses():
         + t[0][t[1] % len(t[0]) + 1:])
 
 
-@settings(derandomize=True, deadline=None, max_examples=3000)
+@settings(derandomize=True, deadline=None, max_examples=2000)
 @given(st.one_of(st.lists(st.sampled_from(PARSER_TOKENS), max_size=24),
                  _formula_tokens(), _near_misses()))
 def test_parse_matches_reference_parser(tokens):
@@ -179,3 +179,71 @@ def test_match_schema_roundtrip_random():
         binding = {m: random_formula(rng, ["x", "y"], 4) for m in "ABC"}
         inst = substitute(schema, binding)
         assert match_schema(schema, inst) == binding
+
+
+# ----------------------------------------------------------------------
+# Hash-consed nodes and deep inputs, at the default recursion limit
+# ----------------------------------------------------------------------
+
+def test_equal_constructions_are_the_same_node():
+    assert Var("p") is p
+    assert conj(neg(p), q) is Binary("&", Unary("~", Var("p")), Var("q"))
+    assert parse("p <-> q") is parse("(p -> q) & (q -> p)")
+    assert neg(p) is not circ(p) and conj(p, q) is not conj(q, p)
+    assert repr(parse("~p & (q | r)")) == "parse('~p & (q | r)')"
+
+
+def test_nodes_are_immutable():
+    f = conj(p, q)
+    with pytest.raises(AttributeError):
+        f.left = r
+    with pytest.raises(AttributeError):
+        del f.left
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    assert f.left is p and p.name == "p"
+    with pytest.raises(TypeError):
+        Unary("~")
+
+
+def test_dropping_a_million_node_formula_frees_it():
+    import gc
+    import weakref
+    from swapkit.formula import Formula
+    before = len(Formula._live)
+    gc.disable()  # reference counting alone must free every node
+    try:
+        f = Var("fresh")
+        for _ in range(10 ** 6):
+            f = neg(f)
+        assert len(Formula._live) == before + 10 ** 6 + 1
+        root = weakref.ref(f)
+        del f
+        assert root() is None and len(Formula._live) == before
+    finally:
+        gc.enable()
+
+
+def _left_chain(op, n):
+    return f" {op} ".join(["p"] * n)
+
+
+@pytest.mark.parametrize("text", [
+    _left_chain("&", 10 ** 5),                        # left-grouped
+    _left_chain("->", 10 ** 4),                       # right-grouped
+    "p | (" * (10 ** 4 - 1) + "p" + ")" * (10 ** 4 - 1),
+    "~@" * (10 ** 4 // 2) + "p",
+], ids=["and-chain", "imp-chain", "nested-or", "neg-circ"])
+def test_deep_formulas_round_trip(text):
+    f = parse(text)
+    assert parse(to_text(f)) is f
+
+
+def test_match_and_substitute_deep_bindings():
+    schema = parse("(A -> (B -> C)) -> ((A -> B) -> ~C)")
+    binding = {"A": parse("~" * 10 ** 4 + "p"),
+               "B": parse(_left_chain("&", 10 ** 4)),
+               "C": parse(_left_chain("->", 10 ** 4))}
+    inst = substitute(schema, binding)
+    assert match_schema(schema, inst) == binding
+    assert match_schema(parse("A -> A"), imp(binding["A"], binding["B"])) is None

@@ -66,6 +66,31 @@ def test_goal_that_is_a_premise_holds():
     assert decide(m5, [p], p).holds
 
 
+@pytest.mark.parametrize("text", [" & ".join(["p"] * 10 ** 5),
+                                  "~" * 10 ** 4 + "p"],
+                         ids=["and-chain", "nested-neg"])
+def test_decide_deep_formulas_at_the_default_recursion_limit(text):
+    goal = parse(text)
+    verdict = decide_logic(L.MBC, [], goal)
+    assert not verdict.holds
+    assert is_legal_valuation(verdict.countermodel)
+    matrix = characteristic_matrix(L.MBC)
+    assert verdict.countermodel.values[goal] not in matrix.designated
+
+
+def test_queries_leave_no_cyclic_garbage():
+    import gc
+    premises, goal = [parse("p"), parse("@q")], parse("~p -> (q | ~q)")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(300):
+            decide_logic(L.MBC, premises, goal)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_decide_logic_separations():
     ciw = parse("@p | (p & ~p)")
     verdict = decide_logic(L.MBC, [], ciw)
