@@ -283,6 +283,12 @@ class _MaximalCells:
         return {op: self.table(op) for op, _ in LOGIC_SIGNATURE.operators()}
 
 
+def _check_full_cells(logic: LogicId, algebra: BoolAlg) -> None:
+    k = _universe_size(logic, algebra.atoms)
+    _check_cap(3 * k * k + 2 * k, f"full {logic.display} structure over "
+               f"{algebra.atoms} atoms would need", "cells")
+
+
 @lru_cache(maxsize=None)
 def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     """The largest swap structure for a logic over an algebra.
@@ -290,9 +296,7 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     Raises ``CellCapExceeded`` before building anything when its tables
     would hold more cells than ``cell_cap()`` allows.
     """
-    k = _universe_size(logic, algebra.atoms)
-    _check_cap(3 * k * k + 2 * k, f"full {logic.display} structure over "
-               f"{algebra.atoms} atoms would need", "cells")
+    _check_full_cells(logic, algebra)
     snaps = universe(logic, algebra)
     tables = _MaximalCells(logic, algebra, snaps).tables()
     labels = [snapshot_label(algebra, z) for z in snaps]
@@ -637,6 +641,8 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
     witnesses), then each cell with more than one member is shrunk, with
     probability one half, to a random nonempty subset of the maximal cell.
     """
+    if max_universe is None:  # the repair may pick the whole universe
+        _check_full_cells(logic, algebra)
     pool = universe(logic, algebra)
     full = _MaximalCells(logic, algebra, pool)
     k = len(pool)

@@ -36,9 +36,6 @@ class Report:
             self.ok = False
         return condition
 
-    def note(self, text: str) -> None:
-        self.lines.append(f"     {text}")
-
     def result(self) -> tuple[bool, list[str]]:
         return self.ok, self.lines
 

@@ -113,6 +113,27 @@ def test_full_swap_respects_the_cell_cap(monkeypatch):
     assert b.malg.size == 81 and b.malg.cell_count() == 19845
 
 
+def test_unbounded_substructure_draws_respect_the_cell_cap(monkeypatch):
+    import time
+    from swapkit.multialg import CellCapExceeded
+    # without max_universe the repair may pick the whole universe, so the
+    # full structure's count is checked before any draw: mbC over seven
+    # atoms (78125 snapshots) is refused at once
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(CellCapExceeded, match="would need"):
+        random_swap_substructure(random.Random(0), L.MBC, powerset_algebra(7))
+    assert time.perf_counter() - started < 0.1
+    # mbC over A2: 5 snapshots, 3 * 5**2 + 2 * 5 = 85 cells
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "84")
+    rng = random.Random(3)
+    with pytest.raises(CellCapExceeded, match="would need 85 cells"):
+        random_swap_substructure(rng, L.MBC, A2)
+    assert rng.random() == random.Random(3).random()  # nothing was drawn
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "85")
+    assert random_swap_substructure(random.Random(3), L.MBC, A2).malg.size
+
+
 def test_exhaustive_searches_count_before_enumerating(monkeypatch):
     # 10 atoms: 4**10 pairs or 8**10 triples to filter; only the per-atom
     # universe over A2 may be enumerated
