@@ -11,7 +11,7 @@ import json
 import sys
 
 from .boolalg import powerset_algebra
-from .formula import ParseError, parse, to_text
+from .formula import ParseError, parse, to_text, to_texts
 from .hilbert import check_proof, parse_proof
 from .logics import LogicId, parse_logic
 from .multialg import arg_tuples, is_multicongruence
@@ -121,8 +121,10 @@ def _cmd_decide(args, out) -> int:
             print("verdict: does not hold", file=out)
             print("countermodel:", file=out)
             labels = verdict.countermodel.matrix.malg.labels
-            for f, v in verdict.countermodel.values.items():
-                print(f"  {to_text(f)} = {labels[v]}", file=out)
+            values = verdict.countermodel.values
+            text = to_texts(values)
+            for f, v in values.items():
+                print(f"  {text[f]} = {labels[v]}", file=out)
     return 0 if verdict.holds else 1
 
 

@@ -260,6 +260,36 @@ def to_text(f: Formula) -> str:
     return "".join(out)
 
 
+def to_texts(formulas: Iterable[Formula]) -> dict[Formula, str]:
+    """``to_text`` of each formula, keyed by formula.
+
+    A compound whose children came earlier in the input is built from their
+    texts, with the parentheses ``to_text`` would put around them, so a
+    children-first closure renders in time linear in its output instead of
+    one walk per node; any other formula is rendered by ``to_text``.
+    """
+    text: dict[Formula, str] = {}
+
+    def operand(g: Formula, min_prec: int) -> str:
+        if isinstance(g, Binary) and _PREC[g.op] < min_prec:
+            return f"({text[g]})"
+        return text[g]
+
+    for f in formulas:
+        if f in text:
+            continue
+        if isinstance(f, Unary) and f.child in text:
+            text[f] = f.op + operand(f.child, 4)
+        elif isinstance(f, Binary) and f.left in text and f.right in text:
+            prec = _PREC[f.op]
+            right = f.op == IMP
+            text[f] = (f"{operand(f.left, prec + right)} {f.op} "
+                       f"{operand(f.right, prec + (not right))}")
+        else:
+            text[f] = to_text(f)
+    return text
+
+
 # ----------------------------------------------------------------------
 # Structure
 # ----------------------------------------------------------------------

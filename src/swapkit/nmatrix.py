@@ -5,15 +5,26 @@ cell determined by its children's values.  Consequence over a finite matrix
 reduces to a search over legal assignments on the subformula closure: cells
 are never empty, so any legal partial valuation extends to a full one.
 
-Each query is compiled once: the closure becomes a children-first list of
-nodes, each carrying its operator's table (one whole-carrier cell for a
-variable), its children's indices, an ``allowed`` bitmask and a value-class
-memo.  The mask is the set of values a countermodel may give the node: the
-whole carrier, the designated values for a premise, the undesignated values
-for the goal, and none when the goal is also a premise, so that the query
-holds without a search.  Two values share a value class exactly when the
-node's parents cannot tell them apart: equal cells in every (operator,
-argument slot) where the node occurs.  Such values are interchangeable in a
+A query is prepared in two steps.
+
+*Compile*, per query and independent of any matrix: the closure becomes a
+children-first list of nodes, each with its operator (none for a variable),
+its children's indices and the sorted set of (operator, argument slot) pairs
+where it occurs; the premises and the goal become node indices.  The result
+is never changed after it is made, and is kept in a small least-recently-used
+cache keyed on the premises and the goal, so a query asked of many matrices,
+as the defining schemas are in characterization, is compiled once.  Formulas are
+hash-consed, so the key hashes in constant time, and the bound keeps the
+cache from holding on to the formulas of many one-off queries.
+
+*Bind*, per matrix: each node gets its operator's table (one whole-carrier
+cell for a variable), an ``allowed`` bitmask and a value-class memo.  The
+mask is the set of values a countermodel may give the node: the whole
+carrier, the designated values for a premise, the undesignated values for
+the goal, and none when the goal is also a premise, so that the query holds
+without a search.  Two values share a value class exactly when the node's
+parents cannot tell them apart: equal cells in every (operator, argument
+slot) where the node occurs.  Such values are interchangeable in a
 countermodel, so the search tries one value per class and loses nothing.
 The memo, one per slot set on the matrix, maps a cell to the least member of
 each class it meets, ascending: the node's candidates, once its table cell
@@ -31,7 +42,7 @@ from typing import Optional, Sequence
 
 from .boolalg import A2
 from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary, Var,
-                      circ, neg, subformula_closure, to_text)
+                      circ, neg, subformula_closure, to_text, to_texts)
 from .logics import LogicId
 from .multialg import MultiAlg, mask_of, members
 from .swap import SwapStructure, full_swap
@@ -84,7 +95,8 @@ class PartialValuation:
 
     def to_json(self) -> dict:
         labels = self.matrix.malg.labels
-        return {to_text(f): labels[v] for f, v in self.values.items()}
+        text = to_texts(self.values)
+        return {text[f]: labels[v] for f, v in self.values.items()}
 
 
 def is_legal_valuation(pv: PartialValuation) -> bool:
@@ -177,47 +189,87 @@ class _Picks(dict):
         return picks
 
 
-class _Search:
-    """Backtracking search for the least countermodel.
+class _Query:
+    """A query compiled from its formulas alone, shared by every matrix it is
+    asked of: nothing may change it.
 
-    The constructor compiles the closure (see the module docstring); after
-    it, no method touches a formula.
+    ``ops[i]`` is node i's operator, None for a variable; ``slot_sets`` are
+    the distinct sorted (operator, slot) sets of the nodes, and ``slot_of[i]``
+    indexes node i's.  The per-node fields are lists: tuples of many sizes,
+    made and dropped once per query, would pile up in the interpreter's
+    per-size tuple free lists.
     """
 
-    def __init__(self, matrix: Nmatrix, premises: Sequence[Formula],
-                 goal: Formula):
+    __slots__ = ("closure", "ops", "kids", "slot_sets", "slot_of",
+                 "premises", "goal")
+
+    def __init__(self, closure: list[Formula], ops: list[Optional[str]],
+                 kids: list[tuple[int, ...]],
+                 slot_sets: list[tuple[tuple[str, int], ...]],
+                 slot_of: list[int], premises: list[int], goal: int):
+        self.closure = closure
+        self.ops = ops
+        self.kids = kids
+        self.slot_sets = slot_sets
+        self.slot_of = slot_of
+        self.premises = premises
+        self.goal = goal
+
+
+@lru_cache(maxsize=32)
+def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
+    """The children-first closure of a query, with each node's operator,
+    child indices and parent slots.  Cached: the logics share their schemas,
+    so characterization asks the same few queries of every candidate."""
+    closure = subformula_closure(premises + (goal,))
+    node_of = {f: i for i, f in enumerate(closure)}
+    ops: list[Optional[str]] = []
+    kids: list[tuple[int, ...]] = []
+    used: list[set[tuple[str, int]]] = [set() for _ in closure]
+    for f in closure:
+        if isinstance(f, Var):
+            ops.append(None)
+            kids.append(())
+            continue
+        ops.append(f.op)
+        kids.append((node_of[f.child],) if isinstance(f, Unary)
+                    else (node_of[f.left], node_of[f.right]))
+        for slot, child in enumerate(kids[-1]):
+            used[child].add((f.op, slot))
+    slot_ids: dict[tuple[tuple[str, int], ...], int] = {}
+    slot_of = [slot_ids.setdefault(tuple(sorted(s)), len(slot_ids))
+               for s in used]
+    return _Query(closure, ops, kids, list(slot_ids), slot_of,
+                  [node_of[p] for p in premises], node_of[goal])
+
+
+class _Search:
+    """Backtracking search for the least countermodel of a compiled query.
+
+    The constructor binds the query to one matrix (see the module
+    docstring); no method touches a formula.
+    """
+
+    def __init__(self, matrix: Nmatrix, query: _Query):
         malg = matrix.malg
         k = self.size = malg.size
-        self.closure = subformula_closure(list(premises) + [goal])
-        node_of = {f: i for i, f in enumerate(self.closure)}
         carrier = (1 << k) - 1
         designated = mask_of(matrix.designated)
-        self.tables: list[list[int]] = []
-        self.kids: list[tuple[int, ...]] = []
-        slot_sets: list[set[tuple[str, int]]] = [set() for _ in self.closure]
-        for f in self.closure:
-            if isinstance(f, Var):
-                self.tables.append([carrier])
-                self.kids.append(())
-                continue
-            self.tables.append(malg.tables[f.op])
-            kids = ((node_of[f.child],) if isinstance(f, Unary)
-                    else (node_of[f.left], node_of[f.right]))
-            self.kids.append(kids)
-            for slot, child in enumerate(kids):
-                slot_sets[child].add((f.op, slot))
-        self.allowed = [carrier] * len(self.closure)
-        for p in premises:
-            self.allowed[node_of[p]] = designated
-        self.allowed[node_of[goal]] &= carrier & ~designated
-        self.picks = []
-        for used in slot_sets:
-            slots = tuple(sorted(used))
+        self.kids = query.kids
+        self.tables = [[carrier] if op is None else malg.tables[op]
+                       for op in query.ops]
+        self.allowed = [carrier] * len(query.ops)
+        for i in query.premises:
+            self.allowed[i] = designated
+        self.allowed[query.goal] &= carrier & ~designated
+        memos = []
+        for slots in query.slot_sets:
             memo = matrix._picks.get(slots)
             if memo is None:
                 memo = matrix._picks[slots] = _Picks(malg, slots)
-            self.picks.append(memo)
-        self.vals: list[int] = [0] * len(self.closure)
+            memos.append(memo)
+        self.picks = [memos[j] for j in query.slot_of]
+        self.vals: list[int] = [0] * len(query.ops)
 
     def candidates(self, i: int) -> tuple[int, ...]:
         pos = 0  # of the children's values in the node's table
@@ -227,7 +279,7 @@ class _Search:
 
     def search(self) -> bool:
         """Fill every node with a countermodel value, if there is one."""
-        n = len(self.closure)
+        n = len(self.vals)
         cursors = [iter(self.candidates(0))] + [iter(())] * (n - 1)
         i = 0
         while i >= 0:
@@ -253,12 +305,13 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
     candidates in ascending order and skips only values interchangeable with
     one that already failed, so the first countermodel it finds is the least.
     """
-    search = _Search(matrix, premises, goal)
+    query = _compile(tuple(premises), goal)
+    search = _Search(matrix, query)
     if 0 in search.allowed or not search.search():
         return Verdict(True)
-    values = {f: search.vals[i] for i, f in enumerate(search.closure)}
-    pv = PartialValuation(matrix, tuple(search.closure), values)
-    return Verdict(False, pv)
+    domain = tuple(query.closure)
+    values = dict(zip(domain, search.vals))
+    return Verdict(False, PartialValuation(matrix, domain, values))
 
 
 class UnsupportedLogicError(ValueError):

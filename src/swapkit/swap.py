@@ -181,7 +181,7 @@ class SwapStructure:
     """A multialgebra whose carrier is decoded as snapshots over an algebra."""
 
     __slots__ = ("logic", "algebra", "malg", "snapshots", "index_of",
-                 "_nmatrix", "_validity")
+                 "_nmatrix", "_in_base", "_validity")
 
     def __init__(self, logic: LogicId, algebra: BoolAlg, malg: MultiAlg,
                  snapshots: Sequence[Snapshot]):
@@ -193,6 +193,7 @@ class SwapStructure:
         self.snapshots = tuple(snapshots)
         self.index_of = {z: i for i, z in enumerate(self.snapshots)}
         self._nmatrix = None
+        self._in_base = None
         self._validity = None
 
     @property
@@ -344,11 +345,16 @@ def validates(structure: SwapStructure, schema: Formula) -> bool:
 def characterize(logic: LogicId, cand: SwapStructure) -> bool:
     """Axiomatic-side membership: base structure plus the defining schemas.
 
-    The logics share most defining schemas, so each schema's validity is
-    memoized on the candidate by schema name; checking all eight logics on
-    one candidate decides each distinct schema once.
+    Every logic shares the CPLe+ base class and most defining schemas, so
+    the base check and each schema's validity, by schema name, are memoized
+    on the candidate: checking all eight logics on one candidate checks the
+    base class once and decides each distinct schema once.  Like the schema
+    memo, this assumes the candidate's tables do not change after its first
+    check.
     """
-    if not is_swap_for(LogicId.CPLE_PLUS, cand):
+    if cand._in_base is None:
+        cand._in_base = is_swap_for(LogicId.CPLE_PLUS, cand)
+    if not cand._in_base:
         return False
     if cand._validity is None:
         cand._validity = {}

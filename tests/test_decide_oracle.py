@@ -104,3 +104,21 @@ def test_decide_matches_oracle_on_two_atom_substructures(logic, seed, query):
         assume(False)
     premises, goal = query
     assert_matches_oracle(matrix, premises, goal)
+
+
+@SETTINGS
+@given(st.sampled_from(CHARACTERISTIC), st.sampled_from(list(L)),
+       st.integers(0, 2 ** 32 - 1), queries())
+def test_one_query_on_two_matrices_back_to_back(logic, source, seed, query):
+    """A query is compiled once and then bound to each matrix; nothing one
+    matrix's search leaves behind may change the other's answer."""
+    structure = random_swap_substructure(random.Random(seed), source,
+                                         powerset_algebra(2), max_universe=8)
+    try:
+        other = nmatrix_of(structure)
+    except ValueError:
+        assume(False)
+    premises, goal = query
+    first = characteristic_matrix(logic)
+    for matrix in (first, other, first):
+        assert_matches_oracle(matrix, premises, goal)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from swapkit.formula import (Binary, ParseError, Signature, Unary, Var, circ,
                              conj, disj, imp, match_schema, neg, parse,
-                             subformula_closure, substitute, to_text)
+                             subformula_closure, substitute, to_text,
+                             to_texts)
 from helpers import naive_subformulas, random_formula, reference_parse
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -109,6 +110,27 @@ def test_roundtrip_random_asts():
     for _ in range(400):
         f = random_formula(rng, ["p", "q", "r", "s"], 8)
         assert parse(to_text(f)) == f
+
+
+#: Small formulas over three variables, for the renderer's oracle test.
+FORMULAS = st.recursive(
+    st.sampled_from((p, q, r)),
+    lambda sub: st.one_of(
+        st.builds(lambda op, a: op(a), st.sampled_from((neg, circ)), sub),
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from((conj, disj, imp)), sub, sub)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(FORMULAS, min_size=1, max_size=3))
+def test_to_texts_matches_to_text_on_every_closure_node(formulas):
+    closure = subformula_closure(formulas)
+    texts = to_texts(closure)
+    assert list(texts) == closure
+    assert all(texts[g] == to_text(g) for g in closure)
+    # parents before children: every node is rendered on its own
+    assert to_texts(closure[::-1]) == texts
 
 
 def test_subformula_closure_direct_listing():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,32 @@ def test_queries_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_query_compile_cache_is_bounded_and_reused():
+    from swapkit.nmatrix import _compile
+    matrix = characteristic_matrix(L.MBC)
+    maxsize = _compile.cache_info().maxsize
+    goal = Var("fresh")
+    for _ in range(3 * maxsize):
+        goal = neg(goal)
+        decide(matrix, [p], goal)
+        info = _compile.cache_info()
+        assert info.currsize <= maxsize
+    hits = _compile.cache_info().hits
+    decide(characteristic_matrix(L.CI), [p], goal)
+    assert _compile.cache_info().hits == hits + 1
+
+
+def test_deep_countermodel_renders_in_time_linear_in_its_text():
+    deep = "~" * 3000 + "p"
+    countermodel = decide_logic(L.MBC, [], parse(deep)).countermodel
+    started = time.perf_counter()
+    rendered = countermodel.to_json()
+    elapsed = time.perf_counter() - started
+    assert len(rendered) == 3001 and rendered[deep] == "F"
+    # one to_text walk per node took about 1.2 s on a 2-vCPU host
+    assert elapsed < 0.3, elapsed
 
 
 def test_decide_logic_separations():

@@ -236,6 +236,24 @@ def test_characterize_examples():
     assert characterize(L.CPLE_PLUS, full_swap(L.CPLE_PLUS, P2))
 
 
+def test_characterize_checks_the_base_class_once_per_candidate(monkeypatch):
+    import swapkit.swap as swap
+    rng = random.Random(5)
+    for logic in L:
+        cand = random_swap_substructure(rng, logic, P2, max_universe=8)
+        expected = [is_swap_for(lg, cand) for lg in L]
+        calls = []
+
+        def counted(lg, structure, check=swap.is_swap_for):
+            calls.append(lg)
+            return check(lg, structure)
+
+        monkeypatch.setattr(swap, "is_swap_for", counted)
+        assert [characterize(lg, cand) for lg in L] == expected
+        assert calls == [L.CPLE_PLUS]
+        monkeypatch.undo()
+
+
 def test_characterize_memo_is_order_free_and_per_structure():
     logics = list(L)
     rng = random.Random(23)
