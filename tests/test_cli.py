@@ -35,6 +35,21 @@ def test_tables_logic_aliases():
     assert via_alias == direct
 
 
+def test_every_logic_name_and_alias_resolves():
+    import pytest
+    from swapkit.logics import LogicId, parse_logic
+    names = {logic.value: logic for logic in LogicId}
+    names.update(cplep=LogicId.CPLE_PLUS, lfi1=LogicId.LFI1O, j3=LogicId.LFI1O)
+    for name, logic in names.items():
+        for spelling in (name, name.upper(), name.title(), f"  {name}\t"):
+            assert parse_logic(spelling) is logic
+    with pytest.raises(ValueError) as exc:
+        parse_logic("nosuchlogic")
+    assert str(exc.value) == (
+        "unknown logic 'nosuchlogic' (known: ci, ciore, cple, cple+, cplep, "
+        "j3, lfi1, lfi1o, mbc, mbcci, mbcciw)")
+
+
 def test_tables_json_roundtrip():
     code, text = capture(["tables", "mbc", "--json"])
     assert code == 0
@@ -177,6 +192,20 @@ def test_represent_command():
     payload = json.loads(text)
     assert payload["injective"] and payload["homomorphism"]
     assert payload["carrier"] == 3 and payload["factors"] == 1
+
+
+def test_json_goldens():
+    assert_golden("kalman.json", ["kalman", "--json"])
+    assert_golden("represent_mbc2.json",
+                  ["represent", "mbc", "--atoms", "2", "--json"])
+    assert_golden("quotient_demo.json", ["quotient-demo", "--json"])
+    assert_golden("verify_duality.json",
+                  ["verify", "duality", "--seed", "0", "--json"])
+    assert_golden("tables_mbc.json", ["tables", "mbc", "--json"])
+
+
+def test_verify_all_golden():
+    assert_golden("verify_all_seed0.txt", ["verify", "all", "--seed", "0"])
 
 
 def test_verify_golden_and_json():
