@@ -11,17 +11,17 @@ import json
 import sys
 
 from .boolalg import powerset_algebra
-from .formula import ParseError, parse, to_text, to_texts
+from .formula import parse, to_text
 from .hilbert import check_proof, parse_proof
 from .logics import LogicId, parse_logic
-from .multialg import arg_tuples, is_multicongruence
-from .nmatrix import UnsupportedLogicError, decide_logic
+from .multialg import (arg_tuples, is_full_homomorphism, is_homomorphism,
+                       is_multicongruence)
+from .nmatrix import decide_logic
 from .swap import (_check_kleene_triples, duality_star, find_swap_decoding,
                    full_swap, kalman_classic, kleene_law_failures,
                    mbc_quotient_counterexample, represent, universe)
-from .tables import render_tables, tables_json
+from .tables import OP_ORDER, render_tables, tables_json
 from .verify import SUITES
-from .multialg import is_full_homomorphism, is_homomorphism
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,36 +35,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="print the truth tables of a full structure")
     p.add_argument("logic")
     p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("decide", help="decide a consequence claim")
     p.add_argument("logic")
     p.add_argument("goal")
     p.add_argument("-p", "--premise", action="append", default=[])
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check-proof", help="check a Hilbert-style proof file")
     p.add_argument("logic")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("kalman", help="show the pair construction and its duality")
     p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("represent", help="build and verify the power embedding")
     p.add_argument("logic")
     p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("quotient-demo",
-                       help="the two-block quotient that leaves the mbC class")
-    p.add_argument("--json", action="store_true")
+    sub.add_parser("quotient-demo",
+                   help="the two-block quotient that leaves the mbC class")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -79,7 +74,7 @@ def run(argv=None, out=None) -> int:
     try:
         handler = _HANDLERS[args.command]
         return handler(args, out)
-    except (ParseError, UnsupportedLogicError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
     except MemoryError:
@@ -92,12 +87,16 @@ def main() -> None:
     sys.exit(run())
 
 
+def _dump(payload, out) -> None:
+    json.dump(payload, out, indent=2)
+    print(file=out)
+
+
 def _cmd_tables(args, out) -> int:
     logic = parse_logic(args.logic)
     structure = full_swap(logic, powerset_algebra(args.atoms))
     if args.json:
-        json.dump(tables_json(structure), out, indent=2)
-        print(file=out)
+        _dump(tables_json(structure), out)
     else:
         out.write(render_tables(structure))
     return 0
@@ -109,8 +108,7 @@ def _cmd_decide(args, out) -> int:
     goal = parse(args.goal)
     verdict = decide_logic(logic, premises, goal)
     if args.json:
-        json.dump(verdict.to_json(), out, indent=2)
-        print(file=out)
+        _dump(verdict.to_json(), out)
     else:
         for p in premises:
             print(f"premise: {to_text(p)}", file=out)
@@ -120,11 +118,8 @@ def _cmd_decide(args, out) -> int:
         else:
             print("verdict: does not hold", file=out)
             print("countermodel:", file=out)
-            labels = verdict.countermodel.matrix.malg.labels
-            values = verdict.countermodel.values
-            text = to_texts(values)
-            for f, v in values.items():
-                print(f"  {text[f]} = {labels[v]}", file=out)
+            for text, label in verdict.countermodel.to_json().items():
+                print(f"  {text} = {label}", file=out)
     return 0 if verdict.holds else 1
 
 
@@ -140,8 +135,7 @@ def _cmd_check_proof(args, out) -> int:
         else:
             payload["step"] = None if result.step is None else result.step + 1
             payload["reason"] = result.reason
-        json.dump(payload, out, indent=2)
-        print(file=out)
+        _dump(payload, out)
     elif result.ok:
         print(f"ok: {to_text(result.conclusion)} follows from "
               f"{len(proof.premises)} premise(s) in {logic.display}", file=out)
@@ -164,8 +158,7 @@ def _cmd_verify(args, out) -> int:
             for line in lines:
                 print("  " + line, file=out)
     if args.json:
-        json.dump(payload, out, indent=2)
-        print(file=out)
+        _dump(payload, out)
     return 0 if all_ok else 1
 
 
@@ -175,19 +168,16 @@ def _cmd_kalman(args, out) -> int:
     K = kalman_classic(algebra)
     failures = kleene_law_failures(K)
     star = duality_star(algebra)
-    pair_universe = set(universe(LogicId.MBCCIW, algebra))
-    bijective = (set(star.values()) == pair_universe
-                 and len(set(star.values())) == len(star))
+    bijective = sorted(star.values()) == sorted(universe(LogicId.MBCCIW, algebra))
     if args.json:
-        json.dump({
+        _dump({
             "atoms": args.atoms,
             "carrier": [K.label(z) for z in K.carrier],
             "center": K.label(K.center),
             "negation": {K.label(z): K.label(K.neg(z)) for z in K.carrier},
             "kleene_failures": failures,
             "duality_bijective": bijective,
-        }, out, indent=2)
-        print(file=out)
+        }, out)
     else:
         print(f"pair construction over {args.atoms} atom(s): "
               f"{K.size} pairs with meet zero", file=out)
@@ -208,7 +198,7 @@ def _cmd_represent(args, out) -> int:
     injective = len(set(result.hmap.mapping)) == structure.malg.size
     hom = is_homomorphism(result.hmap)
     if args.json:
-        json.dump({
+        _dump({
             "logic": logic.display,
             "atoms": args.atoms,
             "carrier": structure.malg.size,
@@ -216,8 +206,7 @@ def _cmd_represent(args, out) -> int:
             "product_carrier": result.product.size,
             "injective": injective,
             "homomorphism": hom,
-        }, out, indent=2)
-        print(file=out)
+        }, out)
     else:
         print(f"{logic.display} over {args.atoms} atom(s): "
               f"{structure.malg.size} snapshots", file=out)
@@ -240,14 +229,13 @@ def _cmd_quotient_demo(args, out) -> int:
     escaped = decoding is None
     ok = congruent and cells_trivial and full_hom and escaped
     if args.json:
-        json.dump({
+        _dump({
             "blocks": blocks,
             "multicongruence": congruent,
             "all_cells_trivial": cells_trivial,
             "projection_full_homomorphism": full_hom,
             "swap_structure_for_mbC": not escaped,
-        }, out, indent=2)
-        print(file=out)
+        }, out)
         return 0 if ok else 1
     print("partition of the five-value carrier:", file=out)
     for name, members in zip(theta.block_labels, blocks):
@@ -255,7 +243,7 @@ def _cmd_quotient_demo(args, out) -> int:
     print(f"multicongruence: {congruent}", file=out)
     print("quotient cells:", file=out)
     qlabels = quot.labels
-    for op in ("&", "|", "->", "~", "@"):
+    for op in OP_ORDER:
         arity = quot.signature.arity_of(op)
         for targs in arg_tuples(quot.size, arity):
             arg_text = ",".join(qlabels[a] for a in targs)

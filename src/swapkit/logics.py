@@ -47,19 +47,9 @@ _DISPLAY = {
 CHAIN = (LogicId.CPLE, LogicId.CI, LogicId.MBCCI, LogicId.MBCCIW,
          LogicId.MBC, LogicId.CPLE_PLUS)
 
-_ALIASES = {
-    "cple+": LogicId.CPLE_PLUS,
-    "cplep": LogicId.CPLE_PLUS,
-    "cple": LogicId.CPLE,
-    "mbc": LogicId.MBC,
-    "mbcciw": LogicId.MBCCIW,
-    "mbcci": LogicId.MBCCI,
-    "ci": LogicId.CI,
-    "lfi1o": LogicId.LFI1O,
-    "lfi1": LogicId.LFI1O,
-    "j3": LogicId.LFI1O,
-    "ciore": LogicId.CIORE,
-}
+_ALIASES = {**{logic.value: logic for logic in LogicId},
+            "cplep": LogicId.CPLE_PLUS, "lfi1": LogicId.LFI1O,
+            "j3": LogicId.LFI1O}
 
 
 def parse_logic(name: str) -> LogicId:

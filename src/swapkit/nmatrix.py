@@ -463,7 +463,7 @@ def induced_valuation(b: Bivaluation) -> PartialValuation:
     domain = tuple(subformula_closure(b.base))
     values: dict[Formula, int] = {}
     for f in domain:
-        if b.logic is LogicId.MBC:
+        if not b.logic.pair_mode:
             snap = (mu[f], mu[neg(f)], mu[circ(f)])
         else:
             snap = (mu[f], mu[neg(f)])

@@ -692,18 +692,21 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
     return SwapStructure(logic, algebra, malg, snaps)
 
 
-def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg,
-                                    limit: int = 10):
+#: Largest universe whose closed sub-universes are enumerated exhaustively.
+EXHAUSTIVE_LIMIT = 10
+
+
+def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg):
     """Every restriction of the full structure to a closed sub-universe.
 
-    Exhaustive over all subsets, so refuses universes above the limit.
-    Yields SwapStructure candidates (cells are the maximal cells cut down
-    to the sub-universe).
+    Exhaustive over all subsets, so refuses universes above
+    ``EXHAUSTIVE_LIMIT``.  Yields SwapStructure candidates (cells are the
+    maximal cells cut down to the sub-universe).
     """
     k = _universe_size(logic, algebra.atoms)
-    if k > limit:
+    if k > EXHAUSTIVE_LIMIT:
         raise ValueError(f"universe has {k} elements; exhaustive enumeration "
-                         f"is capped at {limit}")
+                         f"is capped at {EXHAUSTIVE_LIMIT}")
     pool = universe(logic, algebra)
     zero_first = mask_of(i for i, z in enumerate(pool) if z[0] == algebra.bot)
     for bits in range(1, 1 << k):

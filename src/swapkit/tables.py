@@ -37,6 +37,11 @@ def _cell_text(structure: SwapStructure, cell: int,
     return "{" + ",".join(labels[u] for u in reversed(members(cell))) + "}"
 
 
+def _grid_line(texts: list[str], widths: list[int]) -> str:
+    cells = " ".join(t.ljust(w) for t, w in zip(texts[1:], widths[1:]))
+    return f"{texts[0].ljust(widths[0])} | {cells}".rstrip()
+
+
 def render_tables(structure: SwapStructure) -> str:
     labels = structure.malg.labels
     k = structure.malg.size
@@ -52,36 +57,20 @@ def render_tables(structure: SwapStructure) -> str:
         "designated: " + " ".join(labels[i] for i in _designated(structure)),
     ]
 
-    def cell_text(cell: int) -> str:
-        return _cell_text(structure, cell, block, bare)
-
+    # one grid per operator; a unary table is one column with an empty header
     for op in OP_ORDER:
         table = structure.malg.tables[op]
-        lines.append("")
-        if op in (NEG, CIRC):
-            body = [[labels[i], cell_text(table[i])] for i in range(k)]
-            widths = [max(len(r[c]) for r in body + [[op, op]]) for c in (0, 1)]
-            head = f"{op.ljust(widths[0])} |"
-            lines.append(head)
-            lines.append("-" * (widths[0] + 1) + "+" + "-" * (widths[1] + 1))
-            for row in body:
-                lines.append(f"{row[0].ljust(widths[0])} | {row[1]}")
-        else:
-            body = [[labels[i]] + [cell_text(cell) for cell in
-                                   table[i * k:(i + 1) * k]]
-                    for i in range(k)]
-            headers = [op] + list(labels)
-            widths = [max(len(headers[c]), max(len(r[c]) for r in body))
-                      for c in range(k + 1)]
-            lines.append(" | ".join([headers[0].ljust(widths[0]),
-                                     " ".join(h.ljust(w) for h, w in
-                                              zip(headers[1:], widths[1:])).rstrip()]))
-            lines.append("-" * (widths[0] + 1) + "+" +
-                         "-" * (sum(widths[1:]) + len(widths[1:])))
-            for row in body:
-                lines.append(" | ".join([row[0].ljust(widths[0]),
-                                         " ".join(v.ljust(w) for v, w in
-                                                  zip(row[1:], widths[1:])).rstrip()]))
+        unary = structure.malg.signature.arity_of(op) == 1
+        headers = [op] + ([""] if unary else list(labels))
+        columns = len(headers) - 1
+        body = [[labels[i]] + [_cell_text(structure, cell, block, bare)
+                               for cell in table[i * columns:(i + 1) * columns]]
+                for i in range(k)]
+        widths = [max(len(r[c]) for r in [headers] + body)
+                  for c in range(columns + 1)]
+        rule = "-" * (widths[0] + 1) + "+" + "-" * (sum(widths[1:]) + columns)
+        lines += ["", _grid_line(headers, widths), rule]
+        lines += [_grid_line(r, widths) for r in body]
     return "\n".join(lines) + "\n"
 
 
