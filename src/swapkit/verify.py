@@ -91,10 +91,10 @@ def characterization_agreement(seed: int = 0,
 
     for A in algebras:
         for logic in ALL_LOGICS:
-            ok = all(_agrees(random_swap_substructure(
-                         rng, rng.choice(ALL_LOGICS), A, max_universe=16),
-                         (logic,))
+            draws = (random_swap_substructure(rng, rng.choice(ALL_LOGICS), A,
+                                              max_universe=16)
                      for _ in range(samples_per_logic))
+            ok = all(_agrees(cand, (logic,)) for cand in draws)
             checks.append((ok, f"{samples_per_logic} random submultialgebras "
                            f"vs {logic.display}/{A.atoms} atoms agree"))
     return _result(checks)
