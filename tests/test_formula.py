@@ -55,6 +55,22 @@ def test_parse_errors_carry_offset():
         parse("p q")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a lexical error anywhere wins over an earlier syntax error
+    ("& $", "unexpected character '$' (at offset 2)"),
+    ("p <- q", "unexpected character '<' (at offset 2)"),
+    ("pQ", "bad identifier 'pQ' (at offset 0)"),
+    # an identifier where an operator belongs is trailing, not bad
+    ("p Qx", "trailing input 'Qx' (at offset 2)"),
+    ("   ", "unexpected end of input (at offset 3)"),
+    ("(p", "expected ')' (at offset 2)"),
+])
+def test_parse_error_precedence(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 #: Token soup for the parser oracle: good and bad identifiers, every
 #: operator, parentheses, blanks and, rarely, a stray character.
 PARSER_TOKENS = ("p", "q", "p", "q", "x_1", "A", "B2", "pQ", "Ab", "~", "@",
