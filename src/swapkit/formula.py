@@ -8,8 +8,15 @@ two implications and never appears in an AST.
 Formulas are immutable trees, hash-consed: constructing a node returns the
 live node with the same class and fields if there is one, so equal formulas
 are the same object, ``==`` is ``is`` and hashing takes constant time at any
-depth.  Every walk over a formula uses an explicit stack, so size is bounded
-by memory and time, not by the interpreter's recursion limit.  A *schema* is
+depth.  The intern table, ``Formula._live``, is a plain dict from
+``(class, *fields)`` to a weak reference to the node, so the table keeps no
+node alive; when a node dies, its reference's callback drops the entry,
+unless a new node with the same key has taken it over.  Finding a live node
+costs one dict lookup and one reference call; a node's fields are checked
+only when it is made.
+
+Every walk over a formula uses an explicit stack, so size is bounded by
+memory and time, not by the interpreter's recursion limit.  A *schema* is
 just a formula whose variables are uppercase metavariables; lowercase
 identifiers are object variables.
 """
@@ -66,22 +73,58 @@ class Signature:
 LOGIC_SIGNATURE = Signature(unary=UNARY_OPS, binary=BINARY_OPS)
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned node, carrying the node's table key."""
+
+    __slots__ = ("key",)
+
+
+#: (class, *fields) -> a weak reference to the live node with those fields
+_LIVE: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, live: dict = _LIVE) -> None:
+    """Drop a dead node's entry, unless a new node with the same key has
+    replaced it already."""
+    if live.get(ref.key) is ref:
+        del live[ref.key]
+
+
 class Formula:
     """A formula node; ``Var``, ``Unary`` and ``Binary`` are the kinds."""
 
     __slots__ = ("__weakref__",)
-    #: (class, *fields) -> the live node with those fields
-    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _live = _LIVE
+    #: (name, slot setter, test, what the test asks for) of each field, in
+    #: slot order; none on this abstract base
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, rules: tuple) -> None:
+        """``rules`` holds a (test, what it asks for) pair per slot."""
+        cls._fields = tuple((name, getattr(cls, name).__set__, test, wanted)
+                            for name, (test, wanted)
+                            in zip(cls.__slots__, rules))
 
     def __new__(cls, *fields):
-        if len(fields) != len(cls.__slots__):
-            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
         key = (cls, *fields)
-        node = cls._live.get(key)
-        if node is None:
-            node = cls._live[key] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
+        ref = _LIVE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        # a new node: check each field as it is set
+        if not cls._fields:
+            raise TypeError("Formula is abstract: make a Var, Unary or Binary")
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        node = object.__new__(cls)
+        for (name, put, test, wanted), value in zip(cls._fields, fields):
+            if not test(value):
+                raise TypeError(f"{cls.__name__}.{name} must be {wanted}, "
+                                f"got {value!r}")
+            put(node, value)
+        ref = _LIVE[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
     def __setattr__(self, name, *_):
@@ -93,15 +136,30 @@ class Formula:
         return f"parse({to_text(self)!r})"
 
 
-class Var(Formula):
+#: The identifiers the parser accepts: object variables and metavariables.
+_NAME_RE = re.compile(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*")
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and _NAME_RE.fullmatch(value) is not None
+
+
+_is_formula = Formula.__instancecheck__  # isinstance(value, Formula)
+_NAME = (_is_name, "an identifier the parser accepts")
+_CHILD = (_is_formula, "a Formula")
+
+
+class Var(Formula, rules=(_NAME,)):
     __slots__ = ("name",)
 
 
-class Unary(Formula):
+class Unary(Formula, rules=((UNARY_OPS.__contains__, f"one of {UNARY_OPS}"),
+                            _CHILD)):
     __slots__ = ("op", "child")
 
 
-class Binary(Formula):
+class Binary(Formula, rules=((BINARY_OPS.__contains__, f"one of {BINARY_OPS}"),
+                             _CHILD, _CHILD)):
     __slots__ = ("op", "left", "right")
 
 
@@ -146,30 +204,23 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(->|<->|[~@&|()]|[A-Za-z][A-Za-z0-9_]*)")
+#: One token after optional blanks, in one of four groups: an operator or
+#: parenthesis, an identifier the parser accepts, any other identifier, or
+#: a stray character.
+_TOKEN_RE = re.compile(rf"""\s*(?:
+    (->|<->|[~@&|()])
+  | ({_NAME_RE.pattern})(?![A-Za-z0-9_])
+  | ([A-Za-z][A-Za-z0-9_]*)
+  | (\S))""", re.VERBOSE)
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        tok = m.group(1)
-        kind = "ident" if tok[0].isalpha() else tok
-        tokens.append((kind, tok, m.start(1)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
+#: The token after the last one: every group empty.
+_END = ("", "", "", "")
 
 #: Binding strength of the binary operators; ``<->`` occurs only in text.
 _PREC = {IMP: 1, IFF: 1, OR: 2, AND: 3}
+
+#: Tokens that may open an operand.
+_PREFIXES = frozenset((NEG, CIRC, "("))
 
 
 def parse(text: str) -> Formula:
@@ -182,49 +233,78 @@ def parse(text: str) -> Formula:
         atom    := ident | '(' formula ')'
 
     with a stack of operands and one of pending operators and parentheses.
+    The whole text is lexed before parsing starts, so a stray character is
+    reported wherever it is, ahead of any syntax error before it.
     """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
     operands: list[Formula] = []
     pending: list[str] = []
     opened = 0
     want_operand = True
-    for kind, tok, pos in _tokenize(text):
+    for token in tokens:
+        op, name, _, _ = token
         if want_operand:
-            if kind in UNARY_OPS or kind == "(":
-                pending.append(kind)
-                opened += kind == "("
+            if name:
+                operand = Var(name)
+                while pending and pending[-1] in UNARY_OPS:
+                    operand = Unary(pending.pop(), operand)
+                operands.append(operand)
+                want_operand = False
                 continue
-            if kind != "ident":
-                raise ParseError(f"unexpected token {tok!r}" if tok
-                                 else "unexpected end of input", pos)
-            if not re.fullmatch(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*", tok):
-                raise ParseError(f"bad identifier {tok!r}", pos)
-            operands.append(Var(tok))
-            want_operand = False
+            if op in _PREFIXES:
+                pending.append(op)
+                opened += op == "("
+                continue
+            raise _syntax_error(text, tokens, token, "operand")
+        # An operand ended: apply the pending operators binding at least as
+        # tightly as this token (more tightly if it groups right); a token
+        # that is no binary operator ends the innermost group.
+        prec = _PREC.get(op, 0)
+        floor = prec + (prec < 2)
+        while pending and _PREC.get(pending[-1], 0) >= floor:
+            top = pending.pop()
+            right = operands.pop()
+            left = operands[-1]
+            operands[-1] = (iff(left, right) if top == IFF
+                            else Binary(top, left, right))
+        if prec:
+            pending.append(op)
+            want_operand = True
+        elif not opened:
+            if token is not _END:
+                raise _syntax_error(text, tokens, token, "trailing")
+            return operands[0]
+        elif op != ")":
+            raise _syntax_error(text, tokens, token, "close")
         else:
-            # An operand ended: apply the pending operators binding at least
-            # as tightly as this token (more tightly if it groups right); a
-            # token that is no binary operator ends the innermost group.
-            prec = _PREC.get(kind, 0)
-            floor = prec + (prec < 2)
-            while pending and _PREC.get(pending[-1], 0) >= floor:
-                op = pending.pop()
-                right, left = operands.pop(), operands.pop()
-                operands.append(iff(left, right) if op == IFF
-                                else Binary(op, left, right))
-            if prec:
-                pending.append(kind)
-                want_operand = True
-                continue
-            if not opened:
-                if kind != "end":
-                    raise ParseError(f"trailing input {tok!r}", pos)
-                return operands[0]
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
             pending.pop()
             opened -= 1
-        while pending and pending[-1] in UNARY_OPS:
-            operands.append(Unary(pending.pop(), operands.pop()))
+            while pending and pending[-1] in UNARY_OPS:
+                operands[-1] = Unary(pending.pop(), operands[-1])
+
+
+def _syntax_error(text: str, tokens: list[tuple[str, ...]],
+                  token: tuple[str, ...], context: str) -> ParseError:
+    """The error to raise when ``parse`` cannot use ``token``: the first
+    stray character in the text if there is one, else what ``context``
+    (an operand, input after the formula, or a closing parenthesis
+    expected) says about the token."""
+    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
+    starts.append(len(text))
+    for tok, start in zip(tokens, starts):
+        if tok[3]:
+            return ParseError(f"unexpected character {tok[3]!r}", start)
+    pos = starts[next(i for i, tok in enumerate(tokens) if tok is token)]
+    op, name, bad, _ = token
+    if context == "close":
+        return ParseError("expected ')'", pos)
+    if context == "trailing":
+        return ParseError(f"trailing input {op or name or bad!r}", pos)
+    if bad:
+        return ParseError(f"bad identifier {bad!r}", pos)
+    return ParseError(f"unexpected token {op!r}" if op
+                      else "unexpected end of input", pos)
 
 
 # ----------------------------------------------------------------------

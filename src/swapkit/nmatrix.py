@@ -216,30 +216,64 @@ class _Query:
         self.goal = goal
 
 
+#: Each (operator, argument slot) pair a node can occur in is one bit of a
+#: slot set, the bits ascending with the pairs' sorted order.
+_BIT = {pair: 1 << i for i, pair in enumerate(sorted(
+    [(NEG, 0), (CIRC, 0)]
+    + [(op, slot) for op in (AND, OR, IMP) for slot in (0, 1)]))}
+_LEFT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 0}
+_RIGHT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 1}
+#: slot-set bits -> the sorted (operator, slot) pairs they stand for
+_SLOT_SETS = [tuple(pair for pair, bit in _BIT.items() if bits & bit)
+              for bits in range(1 << len(_BIT))]
+
+
 @lru_cache(maxsize=32)
 def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
     """The children-first closure of a query, with each node's operator,
-    child indices and parent slots.  Cached: the logics share their schemas,
-    so characterization asks the same few queries of every candidate."""
-    closure = subformula_closure(premises + (goal,))
-    node_of = {f: i for i, f in enumerate(closure)}
+    child indices and parent slots, in one walk that lists each node once
+    its children are listed, left to right: the order of
+    ``subformula_closure(premises + (goal,))``.  Cached: the logics share
+    their schemas, so characterization asks the same few queries of every
+    candidate."""
+    node_of: dict[Formula, int] = {}  # in closure order
     ops: list[Optional[str]] = []
     kids: list[tuple[int, ...]] = []
-    used: list[set[tuple[str, int]]] = [set() for _ in closure]
-    for f in closure:
-        if isinstance(f, Var):
+    used: list[int] = []  # the slot-set bits of each node
+    # the next node to visit on top; None above a compound lists it
+    stack: list[Optional[Formula]] = [*premises, goal]
+    stack.reverse()
+    while stack:
+        f = stack.pop()
+        if f is None:
+            f = stack.pop()
+            node_of[f] = len(node_of)
+            ops.append(f.op)
+            used.append(0)
+            if type(f) is Unary:
+                child = node_of[f.child]
+                kids.append((child,))
+                used[child] |= _LEFT_BIT[f.op]
+            else:
+                left, right = node_of[f.left], node_of[f.right]
+                kids.append((left, right))
+                used[left] |= _LEFT_BIT[f.op]
+                used[right] |= _RIGHT_BIT[f.op]
+        elif f in node_of:
+            continue
+        elif type(f) is Var:
+            node_of[f] = len(node_of)
             ops.append(None)
             kids.append(())
-            continue
-        ops.append(f.op)
-        kids.append((node_of[f.child],) if isinstance(f, Unary)
-                    else (node_of[f.left], node_of[f.right]))
-        for slot, child in enumerate(kids[-1]):
-            used[child].add((f.op, slot))
-    slot_ids: dict[tuple[tuple[str, int], ...], int] = {}
-    slot_of = [slot_ids.setdefault(tuple(sorted(s)), len(slot_ids))
-               for s in used]
-    return _Query(closure, ops, kids, list(slot_ids), slot_of,
+            used.append(0)
+        elif type(f) is Unary:
+            stack += (f, None, f.child)
+        else:
+            stack += (f, None, f.right, f.left)
+    slot_ids: dict[int, int] = {}
+    slot_of = [slot_ids.setdefault(bits, len(slot_ids)) for bits in used]
+    return _Query(list(node_of), ops, kids,
+                  [_SLOT_SETS[bits] for bits in slot_ids], slot_of,
                   [node_of[p] for p in premises], node_of[goal])
 
 

@@ -262,6 +262,70 @@ def test_dropping_a_million_node_formula_frees_it():
         gc.enable()
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: Var(3), "Var.name"),
+    (lambda: Var("pQ"), "Var.name"),
+    (lambda: Unary("&", p), "Unary.op"),
+    (lambda: Binary("~", p, q), "Binary.op"),
+    (lambda: Unary("~", "p"), "Unary.child"),
+    (lambda: Binary("&", p, "q"), "Binary.right"),
+], ids=["name-not-str", "name-not-identifier", "unary-op", "binary-op",
+        "unary-child", "binary-child"])
+def test_constructors_check_their_fields(make, field):
+    # every node prints as text that parses back to it
+    with pytest.raises(TypeError, match=field):
+        make()
+
+
+def test_the_base_class_is_not_constructed():
+    from swapkit.formula import Formula
+    for fields in [("x",), (), ("~", p)]:
+        with pytest.raises(TypeError, match="abstract"):
+            Formula(*fields)
+
+
+def test_intern_table_holds_only_live_nodes():
+    import gc
+    from swapkit.formula import Formula
+    parse("p & q")  # nodes a first parse may leave in caches elsewhere
+    before = len(Formula._live)
+    gc.disable()  # reference counting alone must empty the table
+    try:
+        for i in range(10 ** 4):
+            f = parse(f"~(x{i} -> @y{i}) | x{i}")
+            del f
+        assert len(Formula._live) == before
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_formula_is_found_again_after_reparsing():
+    import weakref
+    text = "@(dropped & ~again) -> dropped"
+    first = weakref.ref(parse(text))
+    assert first() is None
+    again = parse(text)
+    assert parse(text) is again and to_text(again) == text
+
+
+def test_dead_entries_never_leak_back():
+    from swapkit.formula import Formula, _forget, _Ref
+    key = (Var, "ghost")
+    ghost = object.__new__(Var)
+    stale = Formula._live[key] = _Ref(ghost)  # no callback: stays when dead
+    stale.key = key
+    del ghost
+    assert stale() is None
+    node = Var("ghost")
+    assert isinstance(node, Var) and node.name == "ghost"
+    assert Var("ghost") is node and Formula._live[key]() is node
+    _forget(stale)  # a late callback of the dead node keeps the new entry
+    assert Formula._live[key]() is node
+    del node
+    assert key not in Formula._live
+    assert all(ref() is not None for ref in list(Formula._live.values()))
+
+
 def _left_chain(op, n):
     return f" {op} ".join(["p"] * n)
 

@@ -2,9 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapkit.boolalg import A2, powerset_algebra
-from swapkit.formula import Var, circ, neg, parse, subformula_closure, substitute
+from swapkit.formula import (Binary, Unary, Var, circ, conj, disj, imp, neg,
+                             parse, subformula_closure, substitute)
 from swapkit.logics import LogicId
 from swapkit.nmatrix import (Bivaluation, UnsupportedLogicError,
                              characteristic_matrix, clause_failures, decide,
@@ -105,6 +108,39 @@ def test_query_compile_cache_is_bounded_and_reused():
     hits = _compile.cache_info().hits
     decide(characteristic_matrix(L.CI), [p], goal)
     assert _compile.cache_info().hits == hits + 1
+
+
+#: Formulas over two variables, so that subformulas are often shared.
+FORMULAS = st.recursive(
+    st.sampled_from((p, q)),
+    lambda sub: st.one_of(st.builds(neg, sub), st.builds(circ, sub),
+                          st.builds(conj, sub, sub), st.builds(disj, sub, sub),
+                          st.builds(imp, sub, sub)),
+    max_leaves=10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(FORMULAS, max_size=3), FORMULAS)
+def test_compile_lists_the_closure_and_each_nodes_slots(premises, goal):
+    from swapkit.nmatrix import _compile
+    query = _compile(tuple(premises), goal)
+    closure = subformula_closure(premises + [goal])
+    assert query.closure == closure
+    index = {f: i for i, f in enumerate(closure)}
+    slots = [set() for _ in closure]
+    for f in closure:
+        children = ((f.child,) if isinstance(f, Unary)
+                    else (f.left, f.right) if isinstance(f, Binary) else ())
+        assert query.ops[index[f]] == (f.op if children else None)
+        assert query.kids[index[f]] == tuple(index[c] for c in children)
+        for slot, child in enumerate(children):
+            slots[index[child]].add((f.op, slot))
+    assert len(set(query.slot_sets)) == len(query.slot_sets)
+    for i, want in enumerate(slots):
+        got = query.slot_sets[query.slot_of[i]]
+        assert list(got) == sorted(want)
+    assert query.premises == [index[f] for f in premises]
+    assert query.goal == index[goal]
 
 
 def test_deep_countermodel_renders_in_time_linear_in_its_text():
