@@ -223,9 +223,12 @@ _BIT = {pair: 1 << i for i, pair in enumerate(sorted(
     + [(op, slot) for op in (AND, OR, IMP) for slot in (0, 1)]))}
 _LEFT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 0}
 _RIGHT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 1}
-#: slot-set bits -> the sorted (operator, slot) pairs they stand for
-_SLOT_SETS = [tuple(pair for pair, bit in _BIT.items() if bits & bit)
-              for bits in range(1 << len(_BIT))]
+
+
+@lru_cache(maxsize=None)
+def _slot_set(bits: int) -> tuple[tuple[str, int], ...]:
+    """The sorted (operator, slot) pairs that a slot set's bits stand for."""
+    return tuple(pair for pair, bit in _BIT.items() if bits & bit)
 
 
 @lru_cache(maxsize=32)
@@ -273,7 +276,7 @@ def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
     slot_ids: dict[int, int] = {}
     slot_of = [slot_ids.setdefault(bits, len(slot_ids)) for bits in used]
     return _Query(list(node_of), ops, kids,
-                  [_SLOT_SETS[bits] for bits in slot_ids], slot_of,
+                  [_slot_set(bits) for bits in slot_ids], slot_of,
                   [node_of[p] for p in premises], node_of[goal])
 
 
