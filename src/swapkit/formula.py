@@ -107,7 +107,10 @@ class Formula:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        ref = _LIVE.get(key)
+        try:
+            ref = _LIVE.get(key)
+        except TypeError:  # an unhashable field, which the checks name
+            ref = None
         if ref is not None:
             node = ref()
             if node is not None:

@@ -269,8 +269,9 @@ def test_dropping_a_million_node_formula_frees_it():
     (lambda: Binary("~", p, q), "Binary.op"),
     (lambda: Unary("~", "p"), "Unary.child"),
     (lambda: Binary("&", p, "q"), "Binary.right"),
+    (lambda: Unary("~", [p]), "Unary.child"),
 ], ids=["name-not-str", "name-not-identifier", "unary-op", "binary-op",
-        "unary-child", "binary-child"])
+        "unary-child", "binary-child", "unhashable-child"])
 def test_constructors_check_their_fields(make, field):
     # every node prints as text that parses back to it
     with pytest.raises(TypeError, match=field):
