@@ -1,6 +1,9 @@
+import contextlib
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 from swapkit.cli import run
 
@@ -36,7 +39,6 @@ def test_tables_logic_aliases():
 
 
 def test_every_logic_name_and_alias_resolves():
-    import pytest
     from swapkit.logics import LogicId, parse_logic
     names = {logic.value: logic for logic in LogicId}
     names.update(cplep=LogicId.CPLE_PLUS, lfi1=LogicId.LFI1O, j3=LogicId.LFI1O)
@@ -277,6 +279,16 @@ def test_verify_suites_pass():
         code, text = capture(["verify", suite, "--seed", "1"])
         assert code == 0, text
         assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("name, argv", [("help.txt", ["--help"]),
+                                        ("help_verify.txt", ["verify", "--help"])])
+def test_help_goldens(monkeypatch, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(argv) == 0
+    assert buf.getvalue() == (GOLDEN / name).read_text()
 
 
 def test_usage_error_exit_code():
