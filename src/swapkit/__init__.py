@@ -6,7 +6,12 @@ package covers the general multialgebra toolkit, the per-logic structure
 classes with their axiomatic characterizations, power-of-two-element
 representation embeddings, the classical pair construction with its duality,
 Hilbert proof checking, and a batch CLI.
+
+The proof checker and the table renderers are re-exported lazily: their
+modules load on first access to one of their names (PEP 562).
 """
+
+from importlib import import_module as _import_module
 
 from .boolalg import (A2, BaHom, BoolAlg, Cil, DupAlg, atom_embedding,
                       ba_product, duplicate, make_cil, powerset_algebra,
@@ -14,8 +19,6 @@ from .boolalg import (A2, BaHom, BoolAlg, Cil, DupAlg, atom_embedding,
 from .formula import (Binary, Formula, ParseError, Signature, Unary, Var,
                       match_schema, parse, subformula_closure, substitute,
                       to_text)
-from .hilbert import (AxiomSet, Proof, axioms_of, check_proof,
-                      derives_ciw_bottom, parse_proof, serialize_proof)
 from .logics import CHAIN, LogicId, parse_logic
 from .multialg import (EquivRel, MaMap, MultiAlg, direct_image,
                        epi_mono_factorize, is_epimorphism,
@@ -32,6 +35,24 @@ from .swap import (KalmanAlgebra, Snapshot, SwapStructure, characterize,
                    kalman_classic, kalman_star, mbc_quotient_counterexample,
                    product_iso, random_swap_substructure, represent,
                    universe, validates)
-from .tables import render_tables, tables_json
 
 __version__ = "0.1.0"
+
+#: name -> the module that defines it, for the re-exports loaded on first use
+_LAZY = dict.fromkeys(("AxiomSet", "Proof", "axioms_of", "check_proof",
+                       "derives_ciw_bottom", "parse_proof", "serialize_proof"),
+                      "hilbert")
+_LAZY.update(dict.fromkeys(("render_tables", "tables_json"), "tables"))
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

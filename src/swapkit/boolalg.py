@@ -14,18 +14,31 @@ construction and its universal property are stated for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
+
+from ._frozen import Frozen
 
 MAX_ATOMS = 16
 
 
-@dataclass(frozen=True)
-class BoolAlg:
-    """The 2**atoms-element Boolean algebra on bitmask elements."""
+class BoolAlg(Frozen):
+    """The 2**atoms-element Boolean algebra on bitmask elements; ``top`` is
+    the mask of all atoms."""
 
-    atoms: int
+    __slots__ = ("atoms", "top")
+
+    def __init__(self, atoms: int):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "top", (1 << atoms) - 1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
 
     @property
     def size(self) -> int:
@@ -34,10 +47,6 @@ class BoolAlg:
     @property
     def bot(self) -> int:
         return 0
-
-    @property
-    def top(self) -> int:
-        return (1 << self.atoms) - 1
 
     def elements(self) -> range:
         return range(self.size)
@@ -78,11 +87,22 @@ def powerset_algebra(n: int) -> BoolAlg:
 # BaHom.source / .target may be any finite algebra exposing size, bot, top,
 # meet, join and imp on contiguous indices (BoolAlg or DupAlg).
 
-@dataclass(frozen=True)
-class BaHom:
-    source: object
-    target: object
-    mapping: tuple[int, ...]
+class BaHom(Frozen):
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source, target, mapping: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.mapping == other.mapping)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.mapping))
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -259,15 +279,20 @@ class NotClassical(CilError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Cil:
+class Cil(Frozen):
     """A finite classical implicative lattice with explicit tables."""
 
-    labels: tuple[str, ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    imp_table: tuple[tuple[int, ...], ...]
-    top: int
+    __slots__ = ("labels", "meet_table", "join_table", "imp_table", "top")
+
+    def __init__(self, labels: tuple[str, ...],
+                 meet_table: tuple[tuple[int, ...], ...],
+                 join_table: tuple[tuple[int, ...], ...],
+                 imp_table: tuple[tuple[int, ...], ...], top: int):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "meet_table", meet_table)
+        object.__setattr__(self, "join_table", join_table)
+        object.__setattr__(self, "imp_table", imp_table)
+        object.__setattr__(self, "top", top)
 
     @property
     def size(self) -> int:
@@ -373,17 +398,22 @@ def cil_from_boolalg(algebra: BoolAlg) -> Cil:
 # Duplication: embedding a lattice into a Boolean algebra of tagged pairs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DupAlg:
+class DupAlg(Frozen):
     """The Boolean algebra on pairs (a, tag): tag 1 stands for a itself and
     tag 0 for its formal complement.  Index layout: (a, tag) -> 2*a + tag.
     """
 
-    lattice: Cil
-    labels: tuple[str, ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    embed: tuple[int, ...]  # a -> index of (a, 1)
+    __slots__ = ("lattice", "labels", "meet_table", "join_table", "embed")
+
+    def __init__(self, lattice: Cil, labels: tuple[str, ...],
+                 meet_table: tuple[tuple[int, ...], ...],
+                 join_table: tuple[tuple[int, ...], ...],
+                 embed: tuple[int, ...]):  # a -> index of (a, 1)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "meet_table", meet_table)
+        object.__setattr__(self, "join_table", join_table)
+        object.__setattr__(self, "embed", embed)
 
     @property
     def size(self) -> int:

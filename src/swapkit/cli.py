@@ -2,6 +2,9 @@
 
 Exit codes: 0 for success / "holds", 1 for a failed verdict or verification,
 2 for usage and input errors.
+
+Proof checking, the verification suites and table rendering are imported by
+the commands that use them, so that the others do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import sys
 
 from .boolalg import powerset_algebra
 from .formula import parse, to_text
-from .hilbert import check_proof, parse_proof
 from .logics import LogicId, parse_logic
 from .multialg import (arg_tuples, is_full_homomorphism, is_homomorphism,
                        is_multicongruence)
@@ -20,8 +22,10 @@ from .nmatrix import decide_logic
 from .swap import (_check_kleene_triples, duality_star, find_swap_decoding,
                    full_swap, kalman_classic, kleene_law_failures,
                    mbc_quotient_counterexample, represent, universe)
-from .tables import OP_ORDER, render_tables, tables_json
-from .verify import SUITES
+
+#: The names of ``verify.SUITES``, sorted, known without importing verify.
+SUITE_NAMES = ("characterization", "class-chain", "duality", "kalman",
+               "representation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("kalman", help="show the pair construction and its duality")
@@ -93,6 +97,7 @@ def _dump(payload, out) -> None:
 
 
 def _cmd_tables(args, out) -> int:
+    from .tables import render_tables, tables_json
     logic = parse_logic(args.logic)
     structure = full_swap(logic, powerset_algebra(args.atoms))
     if args.json:
@@ -124,6 +129,7 @@ def _cmd_decide(args, out) -> int:
 
 
 def _cmd_check_proof(args, out) -> int:
+    from .hilbert import check_proof, parse_proof
     logic = parse_logic(args.logic)
     with open(args.file, encoding="utf-8") as fh:
         proof = parse_proof(fh.read())
@@ -146,7 +152,8 @@ def _cmd_check_proof(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import SUITES
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     all_ok = True
     payload = {}
     for name in names:
@@ -218,6 +225,7 @@ def _cmd_represent(args, out) -> int:
 
 
 def _cmd_quotient_demo(args, out) -> int:
+    from .tables import OP_ORDER
     m5, theta, quot, proj = mbc_quotient_counterexample()
     labels = m5.malg.labels
     blocks = [" ".join(labels[x] for x in block) for block in theta.blocks()]

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from ._frozen import Frozen
 
 NEG = "~"
 CIRC = "@"
@@ -39,18 +40,28 @@ UNARY_OPS = (NEG, CIRC)
 BINARY_OPS = (AND, OR, IMP)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Operator symbols grouped by arity; the groups must not overlap."""
 
-    constants: tuple[str, ...] = ()
-    unary: tuple[str, ...] = ()
-    binary: tuple[str, ...] = ()
+    __slots__ = ("constants", "unary", "binary")
 
-    def __post_init__(self) -> None:
-        groups = (set(self.constants), set(self.unary), set(self.binary))
+    def __init__(self, constants: tuple[str, ...] = (),
+                 unary: tuple[str, ...] = (), binary: tuple[str, ...] = ()):
+        groups = (set(constants), set(unary), set(binary))
         if sum(len(g) for g in groups) != len(set().union(*groups)):
             raise ValueError("arity groups must be pairwise disjoint")
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "unary", unary)
+        object.__setattr__(self, "binary", binary)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.constants == other.constants
+                and self.unary == other.unary and self.binary == other.binary)
+
+    def __hash__(self) -> int:
+        return hash((self.constants, self.unary, self.binary))
 
     def arity_of(self, op: str) -> int:
         if op in self.binary:

@@ -12,10 +12,11 @@ as the conjunction of the two implications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .formula import Binary, Formula, IMP, match_schema, parse, to_text
+from ._frozen import Frozen
+from .formula import (Binary, Formula, IMP, ParseError, match_schema, parse,
+                      to_text)
 from .logics import LogicId
 
 _SCHEMA_SOURCES: tuple[tuple[str, str], ...] = (
@@ -74,10 +75,12 @@ DEFINING_SCHEMAS: dict[LogicId, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AxiomSet:
-    logic: LogicId
-    names: tuple[str, ...]
+class AxiomSet(Frozen):
+    __slots__ = ("logic", "names")
+
+    def __init__(self, logic: LogicId, names: tuple[str, ...]):
+        object.__setattr__(self, "logic", logic)
+        object.__setattr__(self, "names", names)
 
     def schemas(self) -> list[tuple[str, Formula]]:
         return [(n, SCHEMAS[n]) for n in self.names]
@@ -102,38 +105,83 @@ def resolve_axiom_name(name: str) -> Optional[str]:
 # Proofs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Premise:
-    index: int  # into the proof's premise list
+class Premise(Frozen):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):  # into the proof's premise list
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash(self.index)
 
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    formula: Formula
+class Axiom(Frozen):
+    __slots__ = ("name", "formula")
+
+    def __init__(self, name: str, formula: Formula):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "formula", formula)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.formula == other.formula
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.formula))
 
 
-@dataclass(frozen=True)
-class ModusPonens:
-    first: int   # step indices, 0-based; roles resolved during checking
-    second: int
+class ModusPonens(Frozen):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: int, second: int):
+        # step indices, 0-based; roles resolved during checking
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.first == other.first and self.second == other.second
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
 
 
 Step = Union[Premise, Axiom, ModusPonens]
 
 
-@dataclass(frozen=True)
-class Proof:
-    premises: tuple[Formula, ...]
-    steps: tuple[Step, ...]
+class Proof(Frozen):
+    __slots__ = ("premises", "steps")
+
+    def __init__(self, premises: tuple[Formula, ...], steps: tuple[Step, ...]):
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.premises == other.premises and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.premises, self.steps))
 
 
-@dataclass
 class ProofCheck:
-    ok: bool
-    formulas: list[Formula]
-    step: Optional[int] = None      # 0-based index of the failing step
-    reason: Optional[str] = None
+    __slots__ = ("ok", "formulas", "step", "reason")
+
+    def __init__(self, ok: bool, formulas: list[Formula],
+                 step: Optional[int] = None,   # 0-based index of the failing step
+                 reason: Optional[str] = None):
+        self.ok = ok
+        self.formulas = formulas
+        self.step = step
+        self.reason = reason
 
     @property
     def conclusion(self) -> Formula:
@@ -232,13 +280,13 @@ def parse_proof(text: str) -> Proof:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "premise":
-            premises.append(parse(rest))
+            premises.append(_parse_on_line(lineno, rest))
             steps.append(Premise(len(premises) - 1))
         elif head == "axiom":
             name, _, body = rest.partition(" ")
             if not body.strip():
                 raise ValueError(f"line {lineno}: axiom needs a name and a formula")
-            steps.append(Axiom(name, parse(body)))
+            steps.append(Axiom(name, _parse_on_line(lineno, body)))
         elif head == "mp":
             parts = rest.split()
             if len(parts) != 2 or not all(p.isdigit() for p in parts):
@@ -248,6 +296,13 @@ def parse_proof(text: str) -> Proof:
         else:
             raise ValueError(f"line {lineno}: unknown step kind {head!r}")
     return Proof(tuple(premises), tuple(steps))
+
+
+def _parse_on_line(lineno: int, text: str) -> Formula:
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
 
 def serialize_proof(proof: Proof) -> str:

@@ -23,10 +23,10 @@ union of cells are ``|``, and containment is ``a & ~b == 0``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen
 from .formula import Signature
 
 DEFAULT_CELL_CAP = 10 ** 6
@@ -176,13 +176,25 @@ class MultiAlg:
         return {"signature": sig, "carrier": list(self.labels), "ops": ops}
 
 
-@dataclass(frozen=True)
-class MaMap:
-    """A total index map between two multialgebras (not checked on build)."""
+class MaMap(Frozen):
+    """A total index map between two multialgebras (not checked on build).
+    Maps compare by value; like multialgebras, they are not hashable."""
 
-    source: MultiAlg
-    target: MultiAlg
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(self, source: MultiAlg, target: MultiAlg,
+                 mapping: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.mapping == other.mapping)
+
+    __hash__ = None
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -397,12 +409,15 @@ def epi_mono_factorize(f: MaMap) -> tuple[MaMap, MaMap]:
     return onto, inclusion
 
 
-@dataclass(frozen=True)
-class EquivRel:
+class EquivRel(Frozen):
     """A partition of a carrier, as block index per element."""
 
-    block_of: tuple[int, ...]
-    block_labels: tuple[str, ...]
+    __slots__ = ("block_of", "block_labels")
+
+    def __init__(self, block_of: tuple[int, ...],
+                 block_labels: tuple[str, ...]):
+        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "block_labels", block_labels)
 
     @property
     def block_count(self) -> int:

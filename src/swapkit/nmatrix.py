@@ -36,7 +36,6 @@ only those ints, lists and memos: no formula is touched after compilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -82,13 +81,16 @@ def nmatrix_of(structure: SwapStructure) -> Nmatrix:
     return structure._nmatrix
 
 
-@dataclass
 class PartialValuation:
     """An assignment on a subformula-closed, children-first formula list."""
 
-    matrix: Nmatrix
-    domain: tuple[Formula, ...]
-    values: dict[Formula, int]
+    __slots__ = ("matrix", "domain", "values")
+
+    def __init__(self, matrix: Nmatrix, domain: tuple[Formula, ...],
+                 values: dict[Formula, int]):
+        self.matrix = matrix
+        self.domain = domain
+        self.values = values
 
     def designates(self, f: Formula) -> bool:
         return self.values[f] in self.matrix.designated
@@ -139,10 +141,13 @@ def extend_valuation(pv: PartialValuation,
     return PartialValuation(pv.matrix, domain, values)
 
 
-@dataclass
 class Verdict:
-    holds: bool
-    countermodel: Optional[PartialValuation] = None
+    __slots__ = ("holds", "countermodel")
+
+    def __init__(self, holds: bool,
+                 countermodel: Optional[PartialValuation] = None):
+        self.holds = holds
+        self.countermodel = countermodel
 
     def to_json(self) -> dict:
         return {
@@ -402,13 +407,17 @@ def extended_closure(formulas: Sequence[Formula]) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-@dataclass
 class Bivaluation:
-    """A 0/1 assignment on the extended closure of a base formula set."""
+    """A 0/1 assignment on the extended closure of a base formula set; with
+    no ``values`` given, each instance starts from its own empty dict."""
 
-    logic: LogicId
-    base: tuple[Formula, ...]
-    values: dict[Formula, int] = field(default_factory=dict)
+    __slots__ = ("logic", "base", "values")
+
+    def __init__(self, logic: LogicId, base: tuple[Formula, ...],
+                 values: Optional[dict[Formula, int]] = None):
+        self.logic = logic
+        self.base = base
+        self.values = {} if values is None else values
 
     def domain(self) -> tuple[Formula, ...]:
         return extended_closure(self.base)

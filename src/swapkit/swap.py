@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq, or_
 from typing import Callable, Optional, Sequence
 
+from ._frozen import Frozen
 from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures, ba_product,
                       is_ba_hom)
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
-from .hilbert import DEFINING_SCHEMAS, SCHEMAS
 from .logics import LogicId
 from .multialg import (EquivRel, MaMap, MultiAlg, _check_cap, ma_product,
                        mask_of, members, quotient)
@@ -62,19 +61,26 @@ BINARY_BA = {
 }
 
 
-@dataclass(frozen=True)
-class _Clauses:
-    """What one logic adds to the CPLe+ clauses (see the module docstring)."""
+class _Clauses(Frozen):
+    """What one logic adds to the CPLe+ clauses (see the module docstring).
 
-    #: snapshot universe, on the triple view (A, z1, z2, z3)
-    universe: Callable[[BoolAlg, int, int, int], bool]
-    #: negation outputs keep u2 <= z1
-    neg_bounded: bool = False
-    #: consistency outputs are pinned to (~(z1 & z2), z1 & z2)
-    circ_pinned: bool = False
-    #: (A, op, z, w, u1) -> u2 pinning binary outputs; then ~z is (z2, z1)
-    second: Optional[Callable[[BoolAlg, str, Snapshot, Snapshot, int],
-                              int]] = None
+    ``universe`` is the snapshot universe, on the triple view (A, z1, z2,
+    z3).  With ``neg_bounded``, negation outputs keep u2 <= z1; with
+    ``circ_pinned``, consistency outputs are pinned to (~(z1 & z2),
+    z1 & z2).  ``second``, when given, maps (A, op, z, w, u1) to the u2 that
+    pins binary outputs, and then ~z is (z2, z1).
+    """
+
+    __slots__ = ("universe", "neg_bounded", "circ_pinned", "second")
+
+    def __init__(self, universe: Callable[[BoolAlg, int, int, int], bool],
+                 neg_bounded: bool = False, circ_pinned: bool = False,
+                 second: Optional[Callable[[BoolAlg, str, Snapshot, Snapshot,
+                                            int], int]] = None):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "neg_bounded", neg_bounded)
+        object.__setattr__(self, "circ_pinned", circ_pinned)
+        object.__setattr__(self, "second", second)
 
 
 def _mbc_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
@@ -358,6 +364,7 @@ def characterize(logic: LogicId, cand: SwapStructure) -> bool:
         return False
     if cand._validity is None:
         cand._validity = {}
+    from .hilbert import DEFINING_SCHEMAS, SCHEMAS
     memo = cand._validity
     for name in DEFINING_SCHEMAS[logic]:
         if name not in memo:
@@ -420,11 +427,13 @@ def product_iso(logic: LogicId, family: Sequence[BoolAlg]):
 # Representation: embedding into a power of the structure over two elements
 # ----------------------------------------------------------------------
 
-@dataclass
 class Representation:
-    index_size: int          # one factor per atom of the backing algebra
-    hmap: MaMap              # from the structure into the product
-    product: MultiAlg
+    __slots__ = ("index_size", "hmap", "product")
+
+    def __init__(self, index_size: int, hmap: MaMap, product: MultiAlg):
+        self.index_size = index_size  # one factor per atom of the backing algebra
+        self.hmap = hmap              # from the structure into the product
+        self.product = product
 
 
 @lru_cache(maxsize=None)

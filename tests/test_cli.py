@@ -179,6 +179,15 @@ def test_check_proof_paths(tmp_path):
     assert payload == {"ok": True, "conclusion": "q"}
 
 
+@pytest.mark.parametrize("bad_line", ["premise (q &", "axiom Ax1 (q &"])
+def test_check_proof_names_the_line_of_a_bad_formula(tmp_path, bad_line):
+    bad = tmp_path / "bad.proof"
+    bad.write_text("premise p\nmp 1 1\n# note\n" + bad_line + "\n")
+    code, text = capture(["check-proof", "mbc", str(bad)])
+    assert code == 2
+    assert text == "error: line 4: unexpected end of input (at offset 4)\n"
+
+
 def test_quotient_demo_golden():
     assert_golden("quotient_demo.txt", ["quotient-demo"])
 
@@ -289,6 +298,28 @@ def test_help_goldens(monkeypatch, name, argv):
     with contextlib.redirect_stdout(buf):
         assert run(argv) == 0
     assert buf.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_verify_suite_names_match_the_suites():
+    from swapkit import cli, verify
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_cold_import_loads_only_what_every_command_needs():
+    # the benchmark's tracer finds formula, nmatrix, swap and multialg in
+    # sys.modules right after `import swapkit.cli`; proofs, the suites,
+    # table rendering and dataclasses load only where they are used
+    import subprocess
+    import sys
+    probe = ("import sys, swapkit.cli; "
+             "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"swapkit.formula", "swapkit.nmatrix", "swapkit.swap",
+            "swapkit.multialg"} <= loaded
+    assert not loaded & {"dataclasses", "swapkit.hilbert", "swapkit.verify",
+                         "swapkit.tables"}
 
 
 def test_usage_error_exit_code():

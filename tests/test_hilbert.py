@@ -131,6 +131,14 @@ def test_proof_file_errors():
         parse_proof("banana p -> q")
 
 
+@pytest.mark.parametrize("bad_line", ["premise (q &", "axiom Ax1 (q &"])
+def test_formula_errors_name_their_line(bad_line):
+    text = "# a comment\npremise p\n\n" + bad_line + "\nmp 1 1\n"
+    with pytest.raises(ValueError) as exc:
+        parse_proof(text)
+    assert str(exc.value) == "line 4: unexpected end of input (at offset 4)"
+
+
 def test_fuzzed_proofs_check_and_are_sound():
     rng = random.Random(17)
     checked = 0
