@@ -108,8 +108,8 @@ def resolve_axiom_name(name: str) -> Optional[str]:
 class Premise(Frozen):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):  # into the proof's premise list
-        object.__setattr__(self, "index", index)
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)  # into the proof's premises
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -176,11 +176,10 @@ class ProofCheck:
     __slots__ = ("ok", "formulas", "step", "reason")
 
     def __init__(self, ok: bool, formulas: list[Formula],
-                 step: Optional[int] = None,   # 0-based index of the failing step
-                 reason: Optional[str] = None):
+                 step: Optional[int] = None, reason: Optional[str] = None):
         self.ok = ok
         self.formulas = formulas
-        self.step = step
+        self.step = step  # 0-based index of the failing step
         self.reason = reason
 
     @property

@@ -194,8 +194,6 @@ class MaMap(Frozen):
         return (self.source == other.source and self.target == other.target
                 and self.mapping == other.mapping)
 
-    __hash__ = None
-
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
