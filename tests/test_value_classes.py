@@ -5,11 +5,11 @@ class is immutable, and ``Signature``'s overlap check."""
 
 import pytest
 
-from swapkit.boolalg import (BaHom, BoolAlg, duplicate, make_cil,
-                             powerset_algebra)
+from swapkit.boolalg import (BaHom, BoolAlg, Cil, DupAlg, duplicate,
+                             make_cil, powerset_algebra)
 from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
-from swapkit.hilbert import (Axiom, ModusPonens, Premise, Proof, ProofCheck,
-                             axioms_of)
+from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
+                             ProofCheck, axioms_of)
 from swapkit.logics import LogicId
 from swapkit.multialg import EquivRel, MaMap
 from swapkit.nmatrix import Bivaluation, Verdict
@@ -143,3 +143,60 @@ def test_mutable_records_take_assignment():
     check = ProofCheck(False, [], 0, "why")
     check.reason = "because"
     assert check.reason == "because"
+
+
+def _fields_of(record):
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def _record_fields():
+    """A record of each class built from its fields alone, as (class,
+    field values in slot order)."""
+    A1 = powerset_algebra(1)
+    m = full_swap(LogicId.MBC, A1).malg
+    lattice = make_cil(("0", "1"), [[0, 0], [0, 1]], [[0, 1], [1, 1]])
+    return [
+        (BaHom, (A1, A1, (0, 1))),
+        (MaMap, (m, m, tuple(range(m.size)))),
+        (EquivRel, ((0, 0), ("b0",))),
+        (Cil, _fields_of(lattice)),
+        (DupAlg, _fields_of(duplicate(lattice))),
+        (AxiomSet, (LogicId.MBC, ("Ax1", "Ax2"))),
+        (Premise, (0,)),
+        (Axiom, ("Ax1", parse("p -> q -> p"))),
+        (ModusPonens, (0, 1)),
+        (Proof, ((parse("p"),), (Premise(0),))),
+    ]
+
+
+_RECORDS = _record_fields()
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS,
+                         ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_build_from_positional_or_keyword_fields(cls, values):
+    names = cls.__slots__
+    assert len(names) == len(values)
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(names, values)))
+    mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+    for record in (by_position, by_name, mixed):
+        assert type(record) is cls
+        assert _fields_of(record) == values
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS,
+                         ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_refuse_a_missing_extra_repeated_or_unknown_field(cls,
+                                                                  values):
+    names = cls.__slots__
+    with pytest.raises(TypeError, match=names[-1]):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=names[0]):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError, match=names[0]):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="unheard_of"):
+        cls(*values, unheard_of=1)
