@@ -1,13 +1,42 @@
-"""The base of the package's immutable record classes."""
+"""The base of the package's immutable record classes.
+
+A record lists its fields once, in its class's ``__slots__``; ``Frozen``
+builds it from them.  Records compare by identity unless they derive from
+``Value``, which compares and hashes them by class and fields.  The value
+records are those used as cache keys (``BoolAlg`` keys the full swap
+structures) or compared by callers (homomorphisms and multialgebra maps in
+the functor laws, signatures, and the steps of Hilbert proofs).
+"""
+
+from operator import attrgetter
 
 
 class Frozen:
-    """A ``__slots__`` record whose ``__init__`` sets each field once with
-    ``object.__setattr__``; any later assignment or deletion raises
-    ``AttributeError``.  Equality and hashing stay by identity unless a
-    subclass defines them on its fields."""
+    """A ``__slots__`` record whose fields are set once, when it is built;
+    any later assignment or deletion raises ``AttributeError``.
+
+    ``Frozen(*values, **named)`` binds the class's own ``__slots__`` in
+    order, positionally or by name.  A subclass with derived fields or
+    defaults defines an ``__init__`` that ends in ``super().__init__``."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        cls = type(self).__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{cls} takes {len(fields)} fields {fields}, "
+                            f"got {len(values)}")
+        for name, value in zip(fields, values):
+            if name in named:
+                raise TypeError(f"{cls} got field {name!r} twice")
+            object.__setattr__(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, named.pop(name))
+        if named:
+            raise TypeError(f"{cls} has no field {next(iter(named))!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: "
@@ -21,3 +50,22 @@ class Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class Value(Frozen):
+    """A record equal to another of its class with equal fields, and hashed
+    by its fields (so it is unhashable when a field is)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))

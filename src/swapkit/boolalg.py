@@ -17,28 +17,19 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Value
 
 MAX_ATOMS = 16
 
 
-class BoolAlg(Frozen):
+class BoolAlg(Value):
     """The 2**atoms-element Boolean algebra on bitmask elements; ``top`` is
     the mask of all atoms."""
 
     __slots__ = ("atoms", "top")
 
     def __init__(self, atoms: int):
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "top", (1 << atoms) - 1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
+        super().__init__(atoms, (1 << atoms) - 1)
 
     @property
     def size(self) -> int:
@@ -87,22 +78,8 @@ def powerset_algebra(n: int) -> BoolAlg:
 # BaHom.source / .target may be any finite algebra exposing size, bot, top,
 # meet, join and imp on contiguous indices (BoolAlg or DupAlg).
 
-class BaHom(Frozen):
+class BaHom(Value):
     __slots__ = ("source", "target", "mapping")
-
-    def __init__(self, source, target, mapping: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", mapping)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.mapping == other.mapping)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.mapping))
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -284,16 +261,6 @@ class Cil(Frozen):
 
     __slots__ = ("labels", "meet_table", "join_table", "imp_table", "top")
 
-    def __init__(self, labels: tuple[str, ...],
-                 meet_table: tuple[tuple[int, ...], ...],
-                 join_table: tuple[tuple[int, ...], ...],
-                 imp_table: tuple[tuple[int, ...], ...], top: int):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "meet_table", meet_table)
-        object.__setattr__(self, "join_table", join_table)
-        object.__setattr__(self, "imp_table", imp_table)
-        object.__setattr__(self, "top", top)
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -403,17 +370,8 @@ class DupAlg(Frozen):
     tag 0 for its formal complement.  Index layout: (a, tag) -> 2*a + tag.
     """
 
-    __slots__ = ("lattice", "labels", "meet_table", "join_table", "embed")
-
-    def __init__(self, lattice: Cil, labels: tuple[str, ...],
-                 meet_table: tuple[tuple[int, ...], ...],
-                 join_table: tuple[tuple[int, ...], ...],
-                 embed: tuple[int, ...]):  # a -> index of (a, 1)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "meet_table", meet_table)
-        object.__setattr__(self, "join_table", join_table)
-        object.__setattr__(self, "embed", embed)
+    __slots__ = ("lattice", "labels", "meet_table", "join_table",
+                 "embed")  # embed: a -> index of (a, 1)
 
     @property
     def size(self) -> int:

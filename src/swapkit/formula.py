@@ -27,7 +27,7 @@ import re
 import weakref
 from typing import Iterable, Optional
 
-from ._frozen import Frozen
+from ._frozen import Value
 
 NEG = "~"
 CIRC = "@"
@@ -40,7 +40,7 @@ UNARY_OPS = (NEG, CIRC)
 BINARY_OPS = (AND, OR, IMP)
 
 
-class Signature(Frozen):
+class Signature(Value):
     """Operator symbols grouped by arity; the groups must not overlap."""
 
     __slots__ = ("constants", "unary", "binary")
@@ -50,18 +50,7 @@ class Signature(Frozen):
         groups = (set(constants), set(unary), set(binary))
         if sum(len(g) for g in groups) != len(set().union(*groups)):
             raise ValueError("arity groups must be pairwise disjoint")
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "unary", unary)
-        object.__setattr__(self, "binary", binary)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.constants == other.constants
-                and self.unary == other.unary and self.binary == other.binary)
-
-    def __hash__(self) -> int:
-        return hash((self.constants, self.unary, self.binary))
+        super().__init__(constants, unary, binary)
 
     def arity_of(self, op: str) -> int:
         if op in self.binary:

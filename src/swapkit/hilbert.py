@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Value
 from .formula import (Binary, Formula, IMP, ParseError, match_schema, parse,
                       to_text)
 from .logics import LogicId
@@ -78,10 +78,6 @@ DEFINING_SCHEMAS: dict[LogicId, tuple[str, ...]] = {
 class AxiomSet(Frozen):
     __slots__ = ("logic", "names")
 
-    def __init__(self, logic: LogicId, names: tuple[str, ...]):
-        object.__setattr__(self, "logic", logic)
-        object.__setattr__(self, "names", names)
-
     def schemas(self) -> list[tuple[str, Formula]]:
         return [(n, SCHEMAS[n]) for n in self.names]
 
@@ -105,71 +101,24 @@ def resolve_axiom_name(name: str) -> Optional[str]:
 # Proofs
 # ----------------------------------------------------------------------
 
-class Premise(Frozen):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)  # into the proof's premises
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(self.index)
+class Premise(Value):
+    __slots__ = ("index",)  # into the proof's premises
 
 
-class Axiom(Frozen):
+class Axiom(Value):
     __slots__ = ("name", "formula")
 
-    def __init__(self, name: str, formula: Formula):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "formula", formula)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.formula == other.formula
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.formula))
-
-
-class ModusPonens(Frozen):
+class ModusPonens(Value):
+    # step indices, 0-based; roles resolved during checking
     __slots__ = ("first", "second")
-
-    def __init__(self, first: int, second: int):
-        # step indices, 0-based; roles resolved during checking
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.first == other.first and self.second == other.second
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
 
 
 Step = Union[Premise, Axiom, ModusPonens]
 
 
-class Proof(Frozen):
+class Proof(Value):
     __slots__ = ("premises", "steps")
-
-    def __init__(self, premises: tuple[Formula, ...], steps: tuple[Step, ...]):
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.premises == other.premises and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash((self.premises, self.steps))
 
 
 class ProofCheck:

@@ -26,7 +26,7 @@ import os
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, Value
 from .formula import Signature
 
 DEFAULT_CELL_CAP = 10 ** 6
@@ -154,9 +154,6 @@ class MultiAlg:
                 and self.labels == other.labels
                 and self.tables == other.tables)
 
-    def __hash__(self):
-        raise TypeError("MultiAlg is not hashable")
-
     def __repr__(self) -> str:
         return f"MultiAlg({self.size} elements, {len(self.tables)} operators)"
 
@@ -176,23 +173,11 @@ class MultiAlg:
         return {"signature": sig, "carrier": list(self.labels), "ops": ops}
 
 
-class MaMap(Frozen):
+class MaMap(Value):
     """A total index map between two multialgebras (not checked on build).
     Maps compare by value; like multialgebras, they are not hashable."""
 
     __slots__ = ("source", "target", "mapping")
-
-    def __init__(self, source: MultiAlg, target: MultiAlg,
-                 mapping: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", mapping)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.mapping == other.mapping)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -412,11 +397,6 @@ class EquivRel(Frozen):
 
     __slots__ = ("block_of", "block_labels")
 
-    def __init__(self, block_of: tuple[int, ...],
-                 block_labels: tuple[str, ...]):
-        object.__setattr__(self, "block_of", block_of)
-        object.__setattr__(self, "block_labels", block_labels)
-
     @property
     def block_count(self) -> int:
         return len(self.block_labels)
@@ -440,6 +420,8 @@ class EquivRel(Frozen):
             raise ValueError("blocks must cover the carrier")
         if labels is None:
             labels = [f"b{b}" for b in range(len(blocks))]
+        elif len(labels) != len(blocks):
+            raise ValueError(f"{len(labels)} labels for {len(blocks)} blocks")
         return cls(tuple(assign), tuple(labels))
 
     @classmethod
@@ -458,6 +440,8 @@ def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
         raise ValueError("partition is over the wrong carrier")
     if not all(0 <= b < rel.block_count for b in rel.block_of):
         raise ValueError("partition has a block without a label")
+    if len(set(rel.block_of)) != rel.block_count:
+        raise ValueError("partition has an empty block")
     block = rel.block_of
     images: dict[int, int] = {}
     for op, arity in algebra.signature.operators():

@@ -77,10 +77,7 @@ class _Clauses(Frozen):
                  neg_bounded: bool = False, circ_pinned: bool = False,
                  second: Optional[Callable[[BoolAlg, str, Snapshot, Snapshot,
                                             int], int]] = None):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "neg_bounded", neg_bounded)
-        object.__setattr__(self, "circ_pinned", circ_pinned)
-        object.__setattr__(self, "second", second)
+        super().__init__(universe, neg_bounded, circ_pinned, second)
 
 
 def _mbc_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:

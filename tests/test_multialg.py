@@ -123,6 +123,15 @@ def test_maps_and_partitions_must_stay_in_range():
         is_submultialgebra(m, m, (0, 1, 2, 3, 5))
     with pytest.raises(ValueError, match="without a label"):
         is_multicongruence(EquivRel((0, 0, 1, 1, 2), ("a", "b")), m)
+    # a label with no element is an empty block, which no partition has
+    with pytest.raises(ValueError, match="3 labels for 2 blocks"):
+        EquivRel.from_blocks([[0, 3], [1, 2, 4]], 5, labels=("a", "b", "c"))
+    for block_of in ((0, 1, 1, 0, 1), (0, 2, 2, 0, 2)):
+        gappy = EquivRel(block_of, ("a", "b", "c"))
+        with pytest.raises(ValueError, match="empty block"):
+            is_multicongruence(gappy, m)
+        with pytest.raises(ValueError, match="empty block"):
+            quotient(m, gappy)
 
 
 def test_identity_is_full_homomorphism():

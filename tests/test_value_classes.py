@@ -50,6 +50,12 @@ def test_multialgebra_maps_are_equal_by_value_and_unhashable():
         hash(f)
 
 
+def test_multialgebras_are_unhashable():
+    m = full_swap(LogicId.MBC, powerset_algebra(1)).malg
+    with pytest.raises(TypeError):
+        hash(m)
+
+
 def test_different_fields_or_classes_are_unequal():
     assert BoolAlg(1) != BoolAlg(2)
     assert Signature(unary=("f",)) != Signature(binary=("f",))
