@@ -3,9 +3,10 @@
 A record lists its fields once, in its class's ``__slots__``; ``Frozen``
 builds it from them.  Records compare by identity unless they derive from
 ``Value``, which compares and hashes them by class and fields.  The value
-records are those used as cache keys (``BoolAlg`` keys the full swap
-structures) or compared by callers (homomorphisms and multialgebra maps in
-the functor laws, signatures, and the steps of Hilbert proofs).
+records are those used as cache keys (``BoolAlg`` keys the cached snapshot
+universes and full swap structures) or compared by callers and tests
+(homomorphisms, multialgebra maps, signatures, and Hilbert proofs and their
+steps).
 """
 
 from operator import attrgetter
@@ -23,20 +24,21 @@ class Frozen:
 
     def __init__(self, *values, **named):
         fields = self.__slots__
-        cls = type(self).__name__
         if len(values) > len(fields):
-            raise TypeError(f"{cls} takes {len(fields)} fields {fields}, "
-                            f"got {len(values)}")
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+                            f"fields {fields}, got {len(values)}")
         for name, value in zip(fields, values):
-            if name in named:
-                raise TypeError(f"{cls} got field {name!r} twice")
             object.__setattr__(self, name, value)
         for name in fields[len(values):]:
             if name not in named:
-                raise TypeError(f"{cls} is missing field {name!r}")
+                raise TypeError(f"{type(self).__name__} is missing field "
+                                f"{name!r}")
             object.__setattr__(self, name, named.pop(name))
-        if named:
-            raise TypeError(f"{cls} has no field {next(iter(named))!r}")
+        if named:  # names already bound by position, or not fields at all
+            name = next(iter(named))
+            problem = (f"got field {name!r} twice" if name in fields
+                       else f"has no field {name!r}")
+            raise TypeError(f"{type(self).__name__} {problem}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: "
