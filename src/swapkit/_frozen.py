@@ -53,6 +53,19 @@ class Frozen:
                            for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):
+        """Copy and pickle a record as its class and field values."""
+        return _rebuild, (type(self), tuple(getattr(self, name)
+                                            for name in self.__slots__))
+
+
+def _rebuild(cls: type, values: tuple) -> Frozen:
+    """The record of class ``cls`` with these field values, bound by
+    ``Frozen.__init__`` whatever the class's own constructor takes."""
+    record = object.__new__(cls)
+    Frozen.__init__(record, *values)
+    return record
+
 
 class Value(Frozen):
     """A record equal to another of its class with equal fields, and hashed

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for success / "holds", 1 for a failed verdict or verification,
-2 for usage and input errors.
+2 for usage and input errors, and, with nothing printed, for an output closed
+by its reader.
 
 Proof checking, the verification suites and table rendering are imported by
 the commands that use them, so that the others do not pay for loading them.
@@ -78,6 +79,8 @@ def run(argv=None, out=None) -> int:
     try:
         handler = _HANDLERS[args.command]
         return handler(args, out)
+    except BrokenPipeError:  # the reader closed stdout: nowhere to report
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2

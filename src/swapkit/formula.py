@@ -138,6 +138,11 @@ class Formula:
     def __repr__(self) -> str:
         return f"parse({to_text(self)!r})"
 
+    def __reduce__(self):
+        """Copy and pickle a formula as its text: both walks are iterative,
+        so any depth survives, and the copy is the interned node itself."""
+        return parse, (to_text(self),)
+
 
 #: The identifiers the parser accepts: object variables and metavariables.
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*|[A-Z][A-Z0-9_]*")

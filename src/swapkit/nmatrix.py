@@ -7,15 +7,17 @@ are never empty, so any legal partial valuation extends to a full one.
 
 A query is prepared in two steps.
 
-*Compile*, per query and independent of any matrix: the closure becomes a
-children-first list of nodes, each with its operator (none for a variable),
-its children's indices and the sorted set of (operator, argument slot) pairs
-where it occurs; the premises and the goal become node indices.  The result
-is never changed after it is made, and is kept in a small least-recently-used
-cache keyed on the premises and the goal, so a query asked of many matrices,
-as the defining schemas are in characterization, is compiled once.  Formulas are
-hash-consed, so the key hashes in constant time, and the bound keeps the
-cache from holding on to the formulas of many one-off queries.
+*Compile*, per query and independent of any matrix: the nodes are
+``subformula_closure`` of the premises and the goal, children first, and one
+pass over them records each node's operator (none for a variable), its
+children's indices and its slot set, the (operator, argument slot) pairs
+where it occurs, as the bits of ``_BIT``; the premises and the goal become
+node indices.  The result is never changed after it is made, and is kept in
+a small least-recently-used cache keyed on the premises and the goal, so a
+query asked of many matrices, as the defining schemas are in
+characterization, is compiled once.  Formulas are hash-consed, so the key
+hashes in constant time, and the bound keeps the cache from holding on to
+the formulas of many one-off queries.
 
 *Bind*, per matrix: each node gets its operator's table (one whole-carrier
 cell for a variable), an ``allowed`` bitmask and a value-class memo.  The
@@ -26,9 +28,9 @@ without a search.  Two values share a value class exactly when the node's
 parents cannot tell them apart: equal cells in every (operator, argument
 slot) where the node occurs.  Such values are interchangeable in a
 countermodel, so the search tries one value per class and loses nothing.
-The memo, one per slot set on the matrix, maps a cell to the least member of
-each class it meets, ascending: the node's candidates, once its table cell
-is masked by ``allowed``.
+The memo, one per slot set on the matrix and keyed by its bits, maps a cell
+to the least member of each class it meets, ascending: the node's
+candidates, once its table cell is masked by ``allowed``.
 
 The search is a loop over node indices with one cursor per node, and reads
 only those ints, lists and memos: no formula is touched after compilation.
@@ -55,8 +57,8 @@ class Nmatrix:
     def __init__(self, malg: MultiAlg, designated):
         self.malg = malg
         self.designated = frozenset(designated)
-        #: sorted (operator, slot) pairs -> their value-class memo
-        self._picks: dict[tuple[tuple[str, int], ...], _Picks] = {}
+        #: slot-set bits -> their value-class memo
+        self._picks: dict[int, _Picks] = {}
 
     def __repr__(self) -> str:
         return f"Nmatrix({self.malg.size} values, {len(self.designated)} designated)"
@@ -165,15 +167,17 @@ class _Picks(dict):
     """cell -> the least member of each value class the cell meets,
     ascending, made on demand.  Two carrier elements share a class exactly
     when their unary cells, rows (slot 0) or columns (slot 1) agree in every
-    listed (operator, slot) pair; with no slots there is one class."""
+    (operator, slot) pair whose bit is set; with no bits there is one class."""
 
     __slots__ = ("class_of",)
 
-    def __init__(self, malg: MultiAlg, slots: tuple[tuple[str, int], ...]):
+    def __init__(self, malg: MultiAlg, bits: int):
         super().__init__()
         k = malg.size
         views = []
-        for op, slot in slots:
+        for (op, slot), bit in _BIT.items():
+            if not bits & bit:
+                continue
             table = malg.tables[op]
             if malg.signature.arity_of(op) == 1:
                 views.append(table)
@@ -198,25 +202,21 @@ class _Query:
     """A query compiled from its formulas alone, shared by every matrix it is
     asked of: nothing may change it.
 
-    ``ops[i]`` is node i's operator, None for a variable; ``slot_sets`` are
-    the distinct sorted (operator, slot) sets of the nodes, and ``slot_of[i]``
-    indexes node i's.  The per-node fields are lists: tuples of many sizes,
-    made and dropped once per query, would pile up in the interpreter's
-    per-size tuple free lists.
+    ``ops[i]`` is node i's operator, None for a variable, and ``slots[i]``
+    its slot set's ``_BIT`` bits.  The per-node fields are lists: tuples of
+    many sizes, made and dropped once per query, would pile up in the
+    interpreter's per-size tuple free lists.
     """
 
-    __slots__ = ("closure", "ops", "kids", "slot_sets", "slot_of",
-                 "premises", "goal")
+    __slots__ = ("closure", "ops", "kids", "slots", "premises", "goal")
 
     def __init__(self, closure: list[Formula], ops: list[Optional[str]],
-                 kids: list[tuple[int, ...]],
-                 slot_sets: list[tuple[tuple[str, int], ...]],
-                 slot_of: list[int], premises: list[int], goal: int):
+                 kids: list[tuple[int, ...]], slots: list[int],
+                 premises: list[int], goal: int):
         self.closure = closure
         self.ops = ops
         self.kids = kids
-        self.slot_sets = slot_sets
-        self.slot_of = slot_of
+        self.slots = slots
         self.premises = premises
         self.goal = goal
 
@@ -230,58 +230,32 @@ _LEFT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 0}
 _RIGHT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 1}
 
 
-@lru_cache(maxsize=None)
-def _slot_set(bits: int) -> tuple[tuple[str, int], ...]:
-    """The sorted (operator, slot) pairs that a slot set's bits stand for."""
-    return tuple(pair for pair, bit in _BIT.items() if bits & bit)
-
-
 @lru_cache(maxsize=32)
 def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
     """The children-first closure of a query, with each node's operator,
-    child indices and parent slots, in one walk that lists each node once
-    its children are listed, left to right: the order of
-    ``subformula_closure(premises + (goal,))``.  Cached: the logics share
-    their schemas, so characterization asks the same few queries of every
-    candidate."""
-    node_of: dict[Formula, int] = {}  # in closure order
+    child indices and slot bits.  Cached: the logics share their schemas,
+    so characterization asks the same few queries of every candidate."""
+    closure = subformula_closure([*premises, goal])
+    node_of = {f: i for i, f in enumerate(closure)}
     ops: list[Optional[str]] = []
     kids: list[tuple[int, ...]] = []
-    used: list[int] = []  # the slot-set bits of each node
-    # the next node to visit on top; None above a compound lists it
-    stack: list[Optional[Formula]] = [*premises, goal]
-    stack.reverse()
-    while stack:
-        f = stack.pop()
-        if f is None:
-            f = stack.pop()
-            node_of[f] = len(node_of)
-            ops.append(f.op)
-            used.append(0)
-            if type(f) is Unary:
-                child = node_of[f.child]
-                kids.append((child,))
-                used[child] |= _LEFT_BIT[f.op]
-            else:
-                left, right = node_of[f.left], node_of[f.right]
-                kids.append((left, right))
-                used[left] |= _LEFT_BIT[f.op]
-                used[right] |= _RIGHT_BIT[f.op]
-        elif f in node_of:
-            continue
-        elif type(f) is Var:
-            node_of[f] = len(node_of)
+    slots = [0] * len(closure)
+    for f in closure:
+        if type(f) is Var:
             ops.append(None)
             kids.append(())
-            used.append(0)
         elif type(f) is Unary:
-            stack += (f, None, f.child)
+            child = node_of[f.child]
+            ops.append(f.op)
+            kids.append((child,))
+            slots[child] |= _LEFT_BIT[f.op]
         else:
-            stack += (f, None, f.right, f.left)
-    slot_ids: dict[int, int] = {}
-    slot_of = [slot_ids.setdefault(bits, len(slot_ids)) for bits in used]
-    return _Query(list(node_of), ops, kids,
-                  [_slot_set(bits) for bits in slot_ids], slot_of,
+            left, right = node_of[f.left], node_of[f.right]
+            ops.append(f.op)
+            kids.append((left, right))
+            slots[left] |= _LEFT_BIT[f.op]
+            slots[right] |= _RIGHT_BIT[f.op]
+    return _Query(closure, ops, kids, slots,
                   [node_of[p] for p in premises], node_of[goal])
 
 
@@ -304,13 +278,13 @@ class _Search:
         for i in query.premises:
             self.allowed[i] = designated
         self.allowed[query.goal] &= carrier & ~designated
-        memos = []
-        for slots in query.slot_sets:
-            memo = matrix._picks.get(slots)
+        memos = matrix._picks
+        self.picks = []
+        for bits in query.slots:
+            memo = memos.get(bits)
             if memo is None:
-                memo = matrix._picks[slots] = _Picks(malg, slots)
-            memos.append(memo)
-        self.picks = [memos[j] for j in query.slot_of]
+                memo = memos[bits] = _Picks(malg, bits)
+            self.picks.append(memo)
         self.vals: list[int] = [0] * len(query.ops)
 
     def candidates(self, i: int) -> tuple[int, ...]:

@@ -302,10 +302,17 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     """
     _check_full_cells(logic, algebra)
     snaps = universe(logic, algebra)
-    tables = _MaximalCells(logic, algebra, snaps).tables()
+    return _structure(logic, algebra, snaps,
+                      _MaximalCells(logic, algebra, snaps).tables())
+
+
+def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
+               tables: dict[str, list[int]]) -> SwapStructure:
+    """The swap structure on ``snaps`` with the given cell tables, its
+    elements labelled by their snapshots."""
     labels = [snapshot_label(algebra, z) for z in snaps]
-    malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
-    return SwapStructure(logic, algebra, malg, snaps)
+    return SwapStructure(logic, algebra,
+                         MultiAlg(LOGIC_SIGNATURE, labels, tables), snaps)
 
 
 # ----------------------------------------------------------------------
@@ -693,9 +700,7 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
 
     tables = {op: [restrict(cell) for cell in table] for op, table in
               _MaximalCells(logic, algebra, snaps).tables().items()}
-    labels = [snapshot_label(algebra, z) for z in snaps]
-    malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
-    return SwapStructure(logic, algebra, malg, snaps)
+    return _structure(logic, algebra, snaps, tables)
 
 
 #: Largest universe whose closed sub-universes are enumerated exhaustively.
@@ -722,6 +727,4 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg):
         tables = _MaximalCells(logic, algebra, snaps).tables()
         if any(0 in table for table in tables.values()):
             continue
-        labels = [snapshot_label(algebra, z) for z in snaps]
-        malg = MultiAlg(LOGIC_SIGNATURE, labels, tables)
-        yield SwapStructure(logic, algebra, malg, snaps)
+        yield _structure(logic, algebra, snaps, tables)

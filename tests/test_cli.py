@@ -342,3 +342,30 @@ def test_cli_subprocess_invocation():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "tables_mbc.txt").read_text()
+
+
+class _ClosedPipe(io.StringIO):
+    """An output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_exits_2_without_writing_to_it():
+    assert run(["tables", "mbc", "--json"], out=_ClosedPipe()) == 2
+    assert run(["decide", "mbc", "~p"], out=_ClosedPipe()) == 2
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    import subprocess
+    import sys
+    # about 4 MB of JSON, far more than a pipe buffers, so a write fails
+    argv = [sys.executable, "-m", "swapkit.cli", "tables", "cple+",
+            "--atoms", "2", "--json"]
+    with open(tmp_path / "err.txt", "w") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert (tmp_path / "err.txt").read_text() == ""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -350,3 +352,12 @@ def test_match_and_substitute_deep_bindings():
     inst = substitute(schema, binding)
     assert match_schema(schema, inst) == binding
     assert match_schema(parse("A -> A"), imp(binding["A"], binding["B"])) is None
+
+
+def test_copies_and_pickles_are_the_interned_node_at_any_depth():
+    deep = parse("~" * 3000 + "p")
+    assert copy.copy(deep) is deep and copy.deepcopy(deep) is deep
+    assert pickle.loads(pickle.dumps(deep)) is deep
+    f = parse("@P -> (p & ~q | r)")
+    assert copy.deepcopy([f, f])[1] is f
+    assert pickle.loads(pickle.dumps((f, neg(f)))) == (f, neg(f))

@@ -122,7 +122,7 @@ FORMULAS = st.recursive(
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.lists(FORMULAS, max_size=3), FORMULAS)
 def test_compile_lists_the_closure_and_each_nodes_slots(premises, goal):
-    from swapkit.nmatrix import _compile
+    from swapkit.nmatrix import _BIT, _compile
     query = _compile(tuple(premises), goal)
     closure = subformula_closure(premises + [goal])
     assert query.closure == closure
@@ -135,12 +135,29 @@ def test_compile_lists_the_closure_and_each_nodes_slots(premises, goal):
         assert query.kids[index[f]] == tuple(index[c] for c in children)
         for slot, child in enumerate(children):
             slots[index[child]].add((f.op, slot))
-    assert len(set(query.slot_sets)) == len(query.slot_sets)
     for i, want in enumerate(slots):
-        got = query.slot_sets[query.slot_of[i]]
-        assert list(got) == sorted(want)
+        got = [pair for pair, bit in _BIT.items() if query.slots[i] & bit]
+        assert got == sorted(want)
     assert query.premises == [index[f] for f in premises]
     assert query.goal == index[goal]
+
+
+def test_a_matrix_keeps_one_memo_per_slot_set():
+    from swapkit.nmatrix import Nmatrix, _Picks, _compile
+    shared = characteristic_matrix(L.MBC)
+    matrix = Nmatrix(shared.malg, shared.designated)  # with no memos yet
+    queries = [([], parse("p | ~p")), ([parse("p"), parse("~p")], q),
+               ([parse("@p & p")], parse("~(p -> q) | @q"))]
+    bits = set()
+    for premises, goal in queries:
+        decide(matrix, premises, goal)
+        bits.update(_compile(tuple(premises), goal).slots)
+    assert set(matrix._picks) == bits
+    assert all(type(memo) is _Picks for memo in matrix._picks.values())
+    memos = dict(matrix._picks)
+    decide(matrix, *queries[-1])
+    assert matrix._picks == memos
+    assert all(matrix._picks[b] is memos[b] for b in bits)
 
 
 def test_deep_countermodel_renders_in_time_linear_in_its_text():

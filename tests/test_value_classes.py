@@ -3,9 +3,13 @@ constructor signatures and defaults, equality and hashing by value where
 instances are compared or used as cache keys, refusal to assign where the
 class is immutable, and ``Signature``'s overlap check."""
 
+import copy
+import pickle
+
 import pytest
 
-from swapkit.boolalg import (BaHom, BoolAlg, Cil, DupAlg, duplicate,
+from swapkit._frozen import Frozen, Value
+from swapkit.boolalg import (A2, BaHom, BoolAlg, Cil, DupAlg, duplicate,
                              make_cil, powerset_algebra)
 from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
 from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
@@ -153,6 +157,33 @@ def test_mutable_records_take_assignment():
 
 def _fields_of(record):
     return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def _same(a, b) -> bool:
+    """Equal, or, for records compared by identity, of one class with the
+    same fields."""
+    if isinstance(a, Frozen) and not isinstance(a, Value):
+        return type(a) is type(b) and all(
+            _same(x, y) for x, y in zip(_fields_of(a), _fields_of(b)))
+    return a == b
+
+
+@pytest.mark.parametrize("obj, field", _frozen_instances(),
+                         ids=lambda x: type(x).__name__ if not isinstance(
+                             x, str) else x)
+def test_records_copy_and_pickle(obj, field):
+    shallow = copy.copy(obj)
+    assert type(shallow) is type(obj) and shallow is not obj
+    assert all(x is y for x, y in zip(_fields_of(shallow), _fields_of(obj)))
+    for copied in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is type(obj) and _same(copied, obj)
+
+
+def test_a_pickled_multialgebra_equals_the_original():
+    m = full_swap(LogicId.MBC, A2).malg
+    copied = pickle.loads(pickle.dumps(m))
+    assert copied is not m and copied == m
+    assert copied.signature == LOGIC_SIGNATURE
 
 
 def _record_fields():
