@@ -156,7 +156,7 @@ def test_a_matrix_keeps_one_memo_per_slot_set():
     assert all(type(memo) is _Picks for memo in matrix._picks.values())
     memos = dict(matrix._picks)
     decide(matrix, *queries[-1])
-    assert matrix._picks == memos
+    assert matrix._picks.keys() == memos.keys()
     assert all(matrix._picks[b] is memos[b] for b in bits)
 
 
