@@ -364,6 +364,24 @@ def _pushed_tables(algebra: MultiAlg, mapping: Sequence[int],
     return tables
 
 
+def _restricted_tables(algebra: MultiAlg,
+                       keep: Sequence[int]) -> dict[str, list[int]]:
+    """Tables over the kept elements, renumbered by their place in ``keep``:
+    each cell at a tuple of them, cut down to them (0 where nothing of the
+    cell is kept)."""
+    place = {u: n for n, u in enumerate(keep)}
+    kept = mask_of(keep)
+    cuts: dict[int, int] = {}
+    tables: dict[str, list[int]] = {}
+    for op, arity in algebra.signature.operators():
+        cells = list(map(algebra.tables[op].__getitem__,
+                         _mapped_positions(keep, arity, algebra.size)))
+        for cell in set(cells).difference(cuts):
+            cuts[cell] = _image(cell & kept, place)
+        tables[op] = list(map(cuts.__getitem__, cells))
+    return tables
+
+
 def direct_image(f: MaMap) -> tuple[MultiAlg, MaMap, MaMap]:
     """The image multialgebra of a homomorphism, with the epi-mono pieces.
 

@@ -29,6 +29,10 @@ snapshot given (for @z: (~(z1&z2), z1&z2)):
 second coordinate depends on # (&, |, -> in that order).  In LFI1o and
 Ciore every cell is pinned, so their structures are twist-style algebras.
 
+Only the cached build of each full structure (``full_swap``) evaluates the
+clauses.  ``is_swap_for`` embeds a candidate into it, and random draws and
+closed restrictions cut its cells down, so each needs it under the cap.
+
 The module also houses the functorial lift of Boolean homomorphisms to full
 structures, the product isomorphism, the atom-indexed representation
 embedding into powers of the structure over the two-element algebra, the
@@ -41,7 +45,6 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from operator import eq, or_
 from typing import Callable, Optional, Sequence
 
 from ._frozen import Frozen
@@ -49,16 +52,13 @@ from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures, ba_product,
                       is_ba_hom)
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .logics import LogicId
-from .multialg import (EquivRel, MaMap, MultiAlg, _check_cap, ma_product,
-                       mask_of, members, quotient)
+from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into,
+                       _check_cap, _restricted_tables, ma_product, mask_of,
+                       members, quotient)
 
 Snapshot = tuple[int, ...]
 
-BINARY_BA = {
-    AND: lambda A, x, y: A.meet(x, y),
-    OR: lambda A, x, y: A.join(x, y),
-    IMP: lambda A, x, y: A.imp(x, y),
-}
+BINARY_BA = {AND: BoolAlg.meet, OR: BoolAlg.join, IMP: BoolAlg.imp}
 
 
 class _Clauses(Frozen):
@@ -78,6 +78,10 @@ class _Clauses(Frozen):
                  second: Optional[Callable[[BoolAlg, str, Snapshot, Snapshot,
                                             int], int]] = None):
         super().__init__(universe, neg_bounded, circ_pinned, second)
+
+
+def _any_triple(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
+    return True
 
 
 def _mbc_universe(A: BoolAlg, z1: int, z2: int, z3: int) -> bool:
@@ -107,7 +111,7 @@ def _ciore_second(A: BoolAlg, op: str, z: Snapshot, w: Snapshot,
 
 
 _CLAUSES = {
-    LogicId.CPLE_PLUS: _Clauses(lambda A, z1, z2, z3: True),
+    LogicId.CPLE_PLUS: _Clauses(_any_triple),
     LogicId.MBC: _Clauses(_mbc_universe),
     LogicId.MBCCIW: _Clauses(_pair_universe),
     LogicId.MBCCI: _Clauses(_pair_universe, circ_pinned=True),
@@ -208,85 +212,6 @@ class SwapStructure:
                 f"{self.algebra.atoms} atoms, {self.malg.size} snapshots)")
 
 
-class _MaximalCells:
-    """The largest cells a logic's clauses allow over a list of snapshots.
-
-    Cells are bitmasks over positions in the list.  Over the logic's universe
-    they are the full structure's cells; over part of it they are those
-    cells cut down to the part (0 where nothing of a cell is left).
-    """
-
-    def __init__(self, logic: LogicId, algebra: BoolAlg,
-                 snaps: Sequence[Snapshot]):
-        self.clauses = clauses = _CLAUSES[logic]
-        self.algebra = A = algebra
-        self.snaps = snaps
-        #: (z1, z2, z3) -> position, to find pinned outputs in either mode
-        self.index = {(z[0], z[1], z3_view(A, z)): i
-                      for i, z in enumerate(snaps)}
-        #: first coordinate -> cell of the snapshots with that first coordinate
-        self.first_class: dict[int, int] = {}
-        for i, z in enumerate(snaps):
-            self.first_class[z[0]] = self.first_class.get(z[0], 0) | 1 << i
-        #: z1 -> cell of the snapshots whose second coordinate is below z1
-        self.below = {
-            a: mask_of(u for u, w in enumerate(snaps) if A.le(w[1], a))
-            for a in self.first_class} if clauses.neg_bounded else {}
-
-    def _pin(self, z1: int, z2: int) -> int:
-        """The one-snapshot cell of a forced (pair-family) output, or 0."""
-        A = self.algebra
-        i = self.index.get((z1, z2, A.comp(A.meet(z1, z2))))
-        return 0 if i is None else 1 << i
-
-    def neg(self, i: int) -> int:
-        z = self.snaps[i]
-        if self.clauses.second:
-            return self._pin(z[1], z[0])
-        cell = self.first_class.get(z[1], 0)
-        return cell & self.below[z[0]] if self.clauses.neg_bounded else cell
-
-    def circ(self, i: int) -> int:
-        A = self.algebra
-        z = self.snaps[i]
-        if self.clauses.circ_pinned:
-            inconsistency = A.meet(z[0], z[1])
-            return self._pin(A.comp(inconsistency), inconsistency)
-        return self.first_class.get(z3_view(A, z), 0)
-
-    def binary(self, op: str, i: int, j: int) -> int:
-        A = self.algebra
-        z, w = self.snaps[i], self.snaps[j]
-        first = BINARY_BA[op](A, z[0], w[0])
-        if self.clauses.second:
-            return self._pin(first, self.clauses.second(A, op, z, w, first))
-        return self.first_class.get(first, 0)
-
-    def table(self, op: str) -> list[int]:
-        """The maximal cells of one operator, as a flat table."""
-        rng = range(len(self.snaps))
-        if op == NEG:
-            return [self.neg(i) for i in rng]
-        if op == CIRC:
-            return [self.circ(i) for i in rng]
-        if self.clauses.second:
-            return [self.binary(op, i, j) for i in rng for j in rng]
-        # unpinned binary cells depend only on the first coordinates
-        A, fc = self.algebra, self.first_class
-        opfn = BINARY_BA[op]
-        firsts = [z[0] for z in self.snaps]
-        rows = {a: [fc.get(opfn(A, a, b), 0) for b in firsts]
-                for a in set(firsts)}
-        table: list[int] = []
-        for a in firsts:
-            table.extend(rows[a])
-        return table
-
-    def tables(self) -> dict[str, list[int]]:
-        """Every maximal cell, as flat tables in ``LOGIC_SIGNATURE`` order."""
-        return {op: self.table(op) for op, _ in LOGIC_SIGNATURE.operators()}
-
-
 def _check_full_cells(logic: LogicId, algebra: BoolAlg) -> None:
     k = _universe_size(logic, algebra.atoms)
     _check_cap(3 * k * k + 2 * k, f"full {logic.display} structure over "
@@ -294,16 +219,60 @@ def _check_full_cells(logic: LogicId, algebra: BoolAlg) -> None:
 
 
 @lru_cache(maxsize=None)
+def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
+    """The logic's universe with every cell as large as the clauses allow:
+    the one place that evaluates them (see the module docstring)."""
+    _check_full_cells(logic, algebra)
+    clauses, A = _CLAUSES[logic], algebra
+    snaps = universe(logic, A)
+    #: (z1, z2, z3) -> position, to find pinned outputs in either mode
+    index = {(z[0], z[1], z3_view(A, z)): i for i, z in enumerate(snaps)}
+    #: first coordinate -> cell of the snapshots with that first coordinate
+    first_class: dict[int, int] = {}
+    for i, z in enumerate(snaps):
+        first_class[z[0]] = first_class.get(z[0], 0) | 1 << i
+
+    def pin(z1: int, z2: int) -> int:
+        """The one-snapshot cell of a forced (pair-family) output."""
+        return 1 << index[z1, z2, A.comp(A.meet(z1, z2))]
+
+    if clauses.second:
+        neg = [pin(z[1], z[0]) for z in snaps]
+    elif clauses.neg_bounded:
+        below = {a: mask_of(u for u, w in enumerate(snaps) if A.le(w[1], a))
+                 for a in first_class}
+        neg = [first_class[z[1]] & below[z[0]] for z in snaps]
+    else:
+        neg = [first_class[z[1]] for z in snaps]
+    if clauses.circ_pinned:
+        circ = [pin(A.comp(A.meet(z[0], z[1])), A.meet(z[0], z[1]))
+                for z in snaps]
+    else:
+        circ = [first_class[z3_view(A, z)] for z in snaps]
+    tables = {NEG: neg, CIRC: circ}
+    firsts = [z[0] for z in snaps]
+    for op, opfn in BINARY_BA.items():
+        if clauses.second:
+            tables[op] = cells = []
+            for z in snaps:
+                for w in snaps:
+                    first = opfn(A, z[0], w[0])
+                    cells.append(pin(first, clauses.second(A, op, z, w, first)))
+            continue
+        # unpinned binary cells depend only on the first coordinates
+        rows = {a: [first_class[opfn(A, a, b)] for b in firsts]
+                for a in first_class}
+        tables[op] = [cell for a in firsts for cell in rows[a]]
+    return _structure(logic, A, snaps, tables)
+
+
 def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     """The largest swap structure for a logic over an algebra.
 
     Raises ``CellCapExceeded`` before building anything when its tables
     would hold more cells than ``cell_cap()`` allows.
     """
-    _check_full_cells(logic, algebra)
-    snaps = universe(logic, algebra)
-    return _structure(logic, algebra, snaps,
-                      _MaximalCells(logic, algebra, snaps).tables())
+    return _full_structure(logic, algebra)
 
 
 def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
@@ -323,9 +292,11 @@ def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     """Structural membership of a candidate in a logic's class of structures.
 
     Some first coordinate is 0, every snapshot lies in the logic's universe,
-    and every cell lies inside the maximal cell over the candidate's own
-    snapshots.  Pair and triple encodings are reconciled through the derived
-    third coordinate, so any candidate can be tested against any logic.
+    and the candidate is a submultialgebra of the logic's full structure
+    over its algebra, each snapshot read as the full structure's own.  Pair
+    and triple encodings are reconciled through the derived third
+    coordinate, so any candidate can be tested against any logic.  Raises
+    ``CellCapExceeded`` when that full structure is above ``cell_cap()``.
     """
     A = cand.algebra
     snaps = cand.snapshots
@@ -333,13 +304,11 @@ def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
         return False
     if not all(_in_universe(logic, A, z) for z in snaps):
         return False
-    maximal = _MaximalCells(logic, A, snaps)
-    for op, cells in cand.malg.tables.items():
-        bounds = maximal.table(op)
-        # a cell lies inside its bound exactly when joining it leaves it
-        if not all(map(eq, map(or_, cells, bounds), bounds)):
-            return False
-    return True
+    full = _full_structure(logic, A)
+    width = 2 if logic.pair_mode else 3
+    embedding = [full.index_of[(z[0], z[1], z3_view(A, z))[:width]]
+                 for z in snaps]
+    return _cells_map_into(cand.malg, full.malg, embedding, full=False)
 
 
 def validates(structure: SwapStructure, schema: Formula) -> bool:
@@ -659,11 +628,15 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
     enough that every maximal cell still meets it (repaired by adding random
     witnesses), then each cell with more than one member is shrunk, with
     probability one half, to a random nonempty subset of the maximal cell.
+    Both steps read the logic's full structure over the algebra, so this
+    raises ``CellCapExceeded`` when that structure is above ``cell_cap()``.
     """
+    if max_universe is not None and max_universe < 1:
+        raise ValueError(f"max_universe must be at least 1, got {max_universe}")
     if max_universe is None:  # the repair may pick the whole universe
         _check_full_cells(logic, algebra)
-    pool = universe(logic, algebra)
-    full = _MaximalCells(logic, algebra, pool)
+    full = _full_structure(logic, algebra)
+    pool, tables = full.snapshots, full.malg.tables
     k = len(pool)
     zero_first = [i for i, z in enumerate(pool) if z[0] == algebra.bot]
 
@@ -674,11 +647,11 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
 
     def maximal_cells(picked):
         for i in picked:
-            yield full.neg(i)
-            yield full.circ(i)
+            yield tables[NEG][i]
+            yield tables[CIRC][i]
             for j in picked:
                 for op in (AND, OR, IMP):
-                    yield full.binary(op, i, j)
+                    yield tables[op][i * k + j]
 
     # repair: every maximal cell over the chosen set must meet the set
     while True:
@@ -689,7 +662,7 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
             break
         chosen.add(rng.choice(members(missing)))
 
-    snaps = [pool[u] for u in sorted(chosen)]
+    positions = sorted(chosen)
 
     def restrict(cell: int) -> int:
         if cell & (cell - 1) == 0 or rng.random() > 0.5:
@@ -698,9 +671,9 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
         keep = rng.randint(1, len(inside))
         return mask_of(rng.sample(inside, keep))
 
-    tables = {op: [restrict(cell) for cell in table] for op, table in
-              _MaximalCells(logic, algebra, snaps).tables().items()}
-    return _structure(logic, algebra, snaps, tables)
+    cut = {op: list(map(restrict, table)) for op, table in
+           _restricted_tables(full.malg, positions).items()}
+    return _structure(logic, algebra, [pool[u] for u in positions], cut)
 
 
 #: Largest universe whose closed sub-universes are enumerated exhaustively.
@@ -718,13 +691,14 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg):
     if k > EXHAUSTIVE_LIMIT:
         raise ValueError(f"universe has {k} elements; exhaustive enumeration "
                          f"is capped at {EXHAUSTIVE_LIMIT}")
-    pool = universe(logic, algebra)
+    full = _full_structure(logic, algebra)
+    pool = full.snapshots
     zero_first = mask_of(i for i, z in enumerate(pool) if z[0] == algebra.bot)
     for bits in range(1, 1 << k):
         if not bits & zero_first:
             continue
-        snaps = [pool[u] for u in members(bits)]
-        tables = _MaximalCells(logic, algebra, snaps).tables()
+        keep = members(bits)
+        tables = _restricted_tables(full.malg, keep)
         if any(0 in table for table in tables.values()):
             continue
-        yield _structure(logic, algebra, snaps, tables)
+        yield _structure(logic, algebra, [pool[u] for u in keep], tables)

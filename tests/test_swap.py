@@ -135,6 +135,46 @@ def test_unbounded_substructure_draws_respect_the_cell_cap(monkeypatch):
     assert random_swap_substructure(random.Random(3), L.MBC, A2).malg.size
 
 
+def test_membership_and_bounded_draws_respect_the_cell_cap(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    # both read the full CPLe structure over five atoms: 32 snapshots,
+    # 3 * 32**2 + 2 * 32 = 3136 cells; nothing else builds it, so the cache
+    # cannot answer first
+    P5 = powerset_algebra(5)
+    two = full_swap(L.CPLE, A2)
+    # the full structure over A2, lifted along the embedding 1 -> top
+    cand = SwapStructure(L.CPLE, P5, two.malg,
+                         [tuple(P5.top * c for c in z) for z in two.snapshots])
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "3135")
+    rng = random.Random(3)
+    with pytest.raises(CellCapExceeded, match="would need 3136 cells"):
+        random_swap_substructure(rng, L.CPLE, P5, max_universe=8)
+    assert rng.random() == random.Random(3).random()  # nothing was drawn
+    with pytest.raises(CellCapExceeded, match="would need 3136 cells"):
+        is_swap_for(L.CPLE, cand)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "3136")
+    assert is_swap_for(L.CPLE, cand)
+    assert random_swap_substructure(random.Random(3), L.CPLE, P5,
+                                    max_universe=8).malg.size
+
+
+@pytest.mark.parametrize("max_universe", [0, -1])
+def test_draws_refuse_a_universe_bound_below_one(monkeypatch, max_universe):
+    from swapkit.multialg import CellCapExceeded
+    # 0 once meant "no bound" and slipped past the check that an unbounded
+    # draw makes: mbC over A2 needs 85 cells
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "84")
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="max_universe must be at least 1") \
+            as refused:
+        random_swap_substructure(rng, L.MBC, A2, max_universe=max_universe)
+    assert not isinstance(refused.value, CellCapExceeded)
+    assert rng.random() == random.Random(3).random()  # nothing was drawn
+    monkeypatch.delenv("SWAPKIT_MAX_CELLS")
+    assert random_swap_substructure(random.Random(3), L.MBC, A2,
+                                    max_universe=1).malg.size
+
+
 #: sha256 prefix of ``_sampler_record()``; any change to a draw, to the RNG
 #: calls a draw makes, to a closed restriction or to a membership verdict
 #: changes it

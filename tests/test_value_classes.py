@@ -17,7 +17,7 @@ from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
 from swapkit.logics import LogicId
 from swapkit.multialg import EquivRel, MaMap
 from swapkit.nmatrix import Bivaluation, Verdict
-from swapkit.swap import _CLAUSES, Representation, full_swap
+from swapkit.swap import BINARY_BA, _CLAUSES, Representation, full_swap
 
 
 def _value_pairs():
@@ -175,6 +175,14 @@ def test_records_copy_and_pickle(obj, field):
     shallow = copy.copy(obj)
     assert type(shallow) is type(obj) and shallow is not obj
     assert all(x is y for x, y in zip(_fields_of(shallow), _fields_of(obj)))
+    for copied in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is type(obj) and _same(copied, obj)
+
+
+@pytest.mark.parametrize("obj", [*_CLAUSES.values(), BINARY_BA],
+                         ids=[*(logic.name for logic in _CLAUSES), "BINARY_BA"])
+def test_clauses_and_binary_operations_copy_and_pickle(obj):
+    # every clause function and Boolean operation is a module-level name
     for copied in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(copied) is type(obj) and _same(copied, obj)
 
