@@ -216,6 +216,83 @@ def test_draws_restrictions_and_verdicts_match_the_recorded_digest():
     assert digest == SAMPLER_DIGEST
 
 
+#: sha256 prefix of ``_lift_record()``; any change to a product isomorphism,
+#: a representation, a lifted homomorphism or a multicongruence verdict
+#: changes it
+LIFT_DIGEST = "06c5fee89d06d59d"
+
+
+def _partitions(elements):
+    """Every partition of a list, as a list of blocks."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for blocks in _partitions(rest):
+        yield [[first]] + blocks
+        for k in range(len(blocks)):
+            yield blocks[:k] + [[first] + blocks[k]] + blocks[k + 1:]
+
+
+def _lift_record():
+    """The product isomorphisms of every logic over the structures-workload
+    families and (3,) up to 125 elements, the representations of the full
+    structures over 1-3 atoms and of seeded draws (pair and triple
+    encodings crossed), every lifted homomorphism between 1- and 2-atom
+    algebras, and the multicongruence verdict and quotient of every
+    partition of the five-element mbC structure, as text."""
+    from swapkit.multialg import EquivRel
+    lines = []
+    algebras = [powerset_algebra(n) for n in (1, 2, 3)]
+    for logic in L:
+        per_atom = len(universe(logic, A2))
+        for family in ((1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (3,)):
+            if per_atom ** sum(family) > 125:
+                continue
+            iso, _, _, alg = product_iso(
+                logic, [algebras[n - 1] for n in family])
+            lines.append(repr((logic.name, family, alg.atoms, iso.mapping)))
+        for A in algebras:
+            result = represent(logic, full_swap(logic, A))
+            lines.append(repr((logic.name, A.atoms, result.index_size,
+                               result.hmap.mapping)))
+            for seed in range(20):
+                b = random_swap_substructure(random.Random(seed), logic, A,
+                                             max_universe=24)
+                result = represent(logic, b)
+                lines.append(repr((logic.name, A.atoms, seed,
+                                   result.hmap.mapping)))
+        for src in algebras[:2]:
+            for tgt in algebras[:2]:
+                for h in all_ba_homs(src, tgt):
+                    lines.append(repr((logic.name, h.mapping,
+                                       kalman_star(logic, h).mapping)))
+    for A in algebras:
+        # a pair structure read as triples, represented for a pair logic,
+        # and read as pairs, represented for a triple logic
+        pairs = full_swap(L.MBCCIW, A)
+        triples = SwapStructure(
+            L.MBC, A, pairs.malg,
+            [(z[0], z[1], A.comp(A.meet(z[0], z[1]))) for z in pairs.snapshots])
+        for logic, cand in ((L.MBCCIW, triples), (L.MBC, pairs)):
+            lines.append(repr((logic.name, A.atoms,
+                               represent(logic, cand).hmap.mapping)))
+    m5 = full_swap(L.MBC, A2).malg
+    for blocks in _partitions(list(range(m5.size))):
+        theta = EquivRel.from_blocks(blocks, m5.size)
+        verdict = is_multicongruence(theta, m5)
+        quot = quotient(m5, theta)[0] if verdict else None
+        lines.append(repr((blocks, verdict,
+                           quot and list(quot.tables.items()))))
+    return "\n".join(lines)
+
+
+def test_lifts_and_quotients_match_the_recorded_digest():
+    import hashlib
+    digest = hashlib.sha256(_lift_record().encode()).hexdigest()[:16]
+    assert digest == LIFT_DIGEST
+
+
 def test_exhaustive_searches_count_before_enumerating(monkeypatch):
     # 10 atoms: 4**10 pairs or 8**10 triples to filter; only the per-atom
     # universe over A2 may be enumerated
