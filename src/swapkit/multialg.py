@@ -96,11 +96,21 @@ def _mapped_positions(mapping: Sequence[int], arity: int,
     return positions
 
 
-def _image(cell: int, mapping: Sequence[int]) -> int:
-    img = 0
-    for x in members(cell):
-        img |= 1 << mapping[x]
-    return img
+class _Images(dict):
+    """The image of each cell under one carrier map, made on first use."""
+
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: Sequence[int]):
+        super().__init__()
+        self.mapping = mapping
+
+    def __missing__(self, cell: int) -> int:
+        img = 0
+        for x in members(cell):
+            img |= 1 << self.mapping[x]
+        self[cell] = img
+        return img
 
 
 class MultiAlg:
@@ -197,21 +207,19 @@ def compose_maps(f: MaMap, g: MaMap) -> MaMap:
     return MaMap(g.source, f.target, tuple(f.mapping[x] for x in g.mapping))
 
 
-def _cells_map_into(source: MultiAlg, target: MultiAlg,
-                    mapping: Sequence[int], full: bool) -> bool:
-    """Is the image of every source cell inside (equal to, when full) the
-    target cell at the mapped arguments?  Each distinct pair of source and
-    target cells is tested once."""
+def _cells_map_into(source: MultiAlg, target: MultiAlg, images: _Images,
+                    full: bool) -> bool:
+    """Is the image of every source cell under ``images.mapping`` inside
+    (equal to, when full) the target cell at the mapped arguments?  Each
+    distinct pair of source and target cells is tested once."""
+    mapping = images.mapping
     if not all(0 <= m < target.size for m in mapping):
         raise ValueError("map leaves the target carrier")
-    images: dict[int, int] = {}
     for op, arity in source.signature.operators():
         tgt = target.tables[op]
         at = map(tgt.__getitem__, _mapped_positions(mapping, arity, target.size))
         for cell, tgt_cell in set(zip(source.tables[op], at)):
-            img = images.get(cell)
-            if img is None:
-                img = images[cell] = _image(cell, mapping)
+            img = images[cell]
             if img != tgt_cell if full else img & ~tgt_cell:
                 return False
     return True
@@ -224,14 +232,14 @@ def is_submultialgebra(sub: MultiAlg, sup: MultiAlg,
     emb = tuple(embedding)
     if len(emb) != sub.size or len(set(emb)) != sub.size:
         raise ValueError("embedding must be injective and total")
-    return _cells_map_into(sub, sup, emb, full=False)
+    return _cells_map_into(sub, sup, _Images(emb), full=False)
 
 
 def _check_hom(f: MaMap, full: bool) -> bool:
     _require_same_signature(f.source, f.target)
     if len(f.mapping) != f.source.size:
         raise ValueError("map must be total on the source carrier")
-    return _cells_map_into(f.source, f.target, f.mapping, full)
+    return _cells_map_into(f.source, f.target, _Images(f.mapping), full)
 
 
 def is_homomorphism(f: MaMap) -> bool:
@@ -346,20 +354,16 @@ def ma_terminal(signature: Signature) -> MultiAlg:
                     {op: [1] for op, _arity in signature.operators()})
 
 
-def _pushed_tables(algebra: MultiAlg, mapping: Sequence[int],
+def _pushed_tables(algebra: MultiAlg, images: _Images,
                    size: int) -> dict[str, list[int]]:
     """Tables over ``size`` elements whose cell at each tuple is the union of
-    the cell images over the tuple's preimages under the map."""
-    images: dict[int, int] = {}
+    the cell images over the tuple's preimages under ``images.mapping``."""
     tables: dict[str, list[int]] = {}
     for op, arity in algebra.signature.operators():
         table = [0] * size ** arity
-        for pos, cell in zip(_mapped_positions(mapping, arity, size),
+        for pos, cell in zip(_mapped_positions(images.mapping, arity, size),
                              algebra.tables[op]):
-            img = images.get(cell)
-            if img is None:
-                img = images[cell] = _image(cell, mapping)
-            table[pos] |= img
+            table[pos] |= images[cell]
         tables[op] = table
     return tables
 
@@ -369,7 +373,7 @@ def _restricted_tables(algebra: MultiAlg,
     """Tables over the kept elements, renumbered by their place in ``keep``:
     each cell at a tuple of them, cut down to them (0 where nothing of the
     cell is kept)."""
-    place = {u: n for n, u in enumerate(keep)}
+    images = _Images({u: n for n, u in enumerate(keep)})
     kept = mask_of(keep)
     cuts: dict[int, int] = {}
     tables: dict[str, list[int]] = {}
@@ -377,7 +381,7 @@ def _restricted_tables(algebra: MultiAlg,
         cells = list(map(algebra.tables[op].__getitem__,
                          _mapped_positions(keep, arity, algebra.size)))
         for cell in set(cells).difference(cuts):
-            cuts[cell] = _image(cell & kept, place)
+            cuts[cell] = images[cell & kept]
         tables[op] = list(map(cuts.__getitem__, cells))
     return tables
 
@@ -393,7 +397,7 @@ def direct_image(f: MaMap) -> tuple[MultiAlg, MaMap, MaMap]:
     image_indices = sorted(set(f.mapping))
     pos = {t: k for k, t in enumerate(image_indices)}
     onto_mapping = tuple(pos[t] for t in f.mapping)
-    tables = _pushed_tables(f.source, onto_mapping, len(image_indices))
+    tables = _pushed_tables(f.source, _Images(onto_mapping), len(image_indices))
 
     labels = [f.target.labels[t] for t in image_indices]
     image = MultiAlg(f.source.signature, labels, tables)
@@ -447,12 +451,15 @@ class EquivRel(Frozen):
         return cls(tuple(range(algebra.size)), algebra.labels)
 
 
-def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
-    """Compatibility of a partition with every multioperation.
+def _quotient(rel: EquivRel,
+              algebra: MultiAlg) -> Optional[tuple[MultiAlg, MaMap]]:
+    """The quotient on the blocks with its canonical projection, or None when
+    the partition is not a multicongruence.
 
-    For related argument tuples, each output must have a related counterpart;
-    equivalently, the block set of a cell depends only on the argument
-    blocks.  Constants must have all outputs in one block.
+    A cell at a block tuple is the union, over its representative tuples, of
+    the blocks met by their cells.  The partition is a multicongruence when
+    each constant's cell is one block and the projection is full: every
+    representative tuple meets the whole union.
     """
     if len(rel.block_of) != algebra.size:
         raise ValueError("partition is over the wrong carrier")
@@ -460,32 +467,30 @@ def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
         raise ValueError("partition has a block without a label")
     if len(set(rel.block_of)) != rel.block_count:
         raise ValueError("partition has an empty block")
-    block = rel.block_of
-    images: dict[int, int] = {}
-    for op, arity in algebra.signature.operators():
-        seen: dict[int, int] = {}
-        positions = _mapped_positions(block, arity, rel.block_count)
-        for pos, cell in set(zip(positions, algebra.tables[op])):
-            img = images.get(cell)
-            if img is None:
-                img = images[cell] = _image(cell, block)
-            if arity == 0 and img & (img - 1):
-                return False
-            if seen.setdefault(pos, img) != img:
-                return False
-    return True
+    images = _Images(rel.block_of)
+    tables = _pushed_tables(algebra, images, rel.block_count)
+    if any(cell & (cell - 1) for c in algebra.signature.constants
+           for cell in tables[c]):
+        return None
+    quot = MultiAlg(algebra.signature, rel.block_labels, tables)
+    if not _cells_map_into(algebra, quot, images, full=True):
+        return None
+    return quot, MaMap(algebra, quot, rel.block_of)
+
+
+def is_multicongruence(rel: EquivRel, algebra: MultiAlg) -> bool:
+    """Compatibility of a partition with every multioperation.
+
+    For related argument tuples, each output must have a related counterpart;
+    equivalently, the block set of a cell depends only on the argument
+    blocks.  Constants must have all outputs in one block.
+    """
+    return _quotient(rel, algebra) is not None
 
 
 def quotient(algebra: MultiAlg, rel: EquivRel) -> tuple[MultiAlg, MaMap]:
-    """Quotient multialgebra on the blocks, with the canonical projection.
-
-    A cell at a block tuple is the union, over all representative tuples, of
-    the blocks met by the original cell; for a multicongruence every
-    representative tuple contributes the same block set.
-    """
-    if not is_multicongruence(rel, algebra):
+    """Quotient multialgebra on the blocks, with the canonical projection."""
+    result = _quotient(rel, algebra)
+    if result is None:
         raise ValueError("relation is not a multicongruence")
-    tables = _pushed_tables(algebra, rel.block_of, rel.block_count)
-    quot = MultiAlg(algebra.signature, rel.block_labels, tables)
-    proj = MaMap(algebra, quot, rel.block_of)
-    return quot, proj
+    return result

@@ -46,7 +46,7 @@ from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary, Var,
                       circ, neg, subformula_closure, to_text, to_texts)
 from .logics import LogicId
 from .multialg import MultiAlg, mask_of, members
-from .swap import SwapStructure, full_swap
+from .swap import SwapStructure, _full_structure
 
 
 class Nmatrix:
@@ -73,9 +73,7 @@ def nmatrix_of(structure: SwapStructure) -> Nmatrix:
     """
     if structure._nmatrix is not None:
         return structure._nmatrix
-    top = structure.algebra.top
-    designated = frozenset(
-        i for i, z in enumerate(structure.snapshots) if z[0] == top)
+    designated = frozenset(structure.designated)
     if not designated or len(designated) == structure.malg.size:
         raise ValueError("swap-derived matrix must have a proper nonempty "
                          "designated set; the backing algebra is degenerate")
@@ -334,13 +332,12 @@ class UnsupportedLogicError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 def characteristic_structure(logic: LogicId) -> SwapStructure:
     if logic is LogicId.CPLE_PLUS:
         raise UnsupportedLogicError(
             "cple+ is characterized only by the whole class of its matrices, "
             "not by a single finite one; decide over a chosen structure instead")
-    return full_swap(logic, A2)
+    return _full_structure(logic, A2)
 
 
 def characteristic_matrix(logic: LogicId) -> Nmatrix:

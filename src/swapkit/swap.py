@@ -33,11 +33,11 @@ Only the cached build of each full structure (``full_swap``) evaluates the
 clauses.  ``is_swap_for`` embeds a candidate into it, and random draws and
 closed restrictions cut its cells down, so each needs it under the cap.
 
-The module also houses the functorial lift of Boolean homomorphisms to full
-structures, the product isomorphism, the atom-indexed representation
-embedding into powers of the structure over the two-element algebra, the
-classical pair construction with its duality onto pair universes, and the
-quotient that leaves the mbC class.
+One lift of Boolean homomorphisms, coordinatewise, to full structures (the
+functor K*) gives ``kalman_star``; the product isomorphism inverts its tuple
+over the product projections; the representation is its tuple over the atom
+evaluations.  The module also houses the classical pair construction with its
+duality onto pair universes, and the quotient that leaves the mbC class.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._frozen import Frozen
-from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures, ba_product,
-                      is_ba_hom)
+from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures,
+                      atom_embedding, ba_product, is_ba_hom)
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .logics import LogicId
-from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into,
-                       _check_cap, _restricted_tables, ma_product, mask_of,
+from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into, _check_cap,
+                       _Images, _restricted_tables, ma_product, mask_of,
                        members, quotient)
 
 Snapshot = tuple[int, ...]
@@ -207,6 +207,12 @@ class SwapStructure:
     def pair_mode(self) -> bool:
         return len(self.snapshots[0]) == 2
 
+    @property
+    def designated(self) -> tuple[int, ...]:
+        """Positions whose first coordinate is top: the designated values."""
+        top = self.algebra.top
+        return tuple(i for i, z in enumerate(self.snapshots) if z[0] == top)
+
     def __repr__(self) -> str:
         return (f"SwapStructure({self.logic.display}, "
                 f"{self.algebra.atoms} atoms, {self.malg.size} snapshots)")
@@ -288,6 +294,15 @@ def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
 # Membership and characterization
 # ----------------------------------------------------------------------
 
+def _encoded(logic: LogicId, algebra: BoolAlg,
+             snaps: Sequence[Snapshot]) -> list[Snapshot]:
+    """The snapshots in the logic's own width: pairs read as triples through
+    the derived third coordinate, triples cut down to pairs."""
+    width = 2 if logic.pair_mode else 3
+    return [z if len(z) == width else (z[0], z[1], z3_view(algebra, z))[:width]
+            for z in snaps]
+
+
 def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     """Structural membership of a candidate in a logic's class of structures.
 
@@ -305,10 +320,8 @@ def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     if not all(_in_universe(logic, A, z) for z in snaps):
         return False
     full = _full_structure(logic, A)
-    width = 2 if logic.pair_mode else 3
-    embedding = [full.index_of[(z[0], z[1], z3_view(A, z))[:width]]
-                 for z in snaps]
-    return _cells_map_into(cand.malg, full.malg, embedding, full=False)
+    embedding = list(map(full.index_of.__getitem__, _encoded(logic, A, snaps)))
+    return _cells_map_into(cand.malg, full.malg, _Images(embedding), full=False)
 
 
 def validates(structure: SwapStructure, schema: Formula) -> bool:
@@ -351,48 +364,48 @@ def characterize(logic: LogicId, cand: SwapStructure) -> bool:
 # The functorial lift of Boolean homomorphisms
 # ----------------------------------------------------------------------
 
+def _lift(logic: LogicId, homs: Sequence[BaHom],
+          snapshots: Sequence[Snapshot]) -> list[int]:
+    """K* of the tuple of homomorphisms: for each snapshot, the position of
+    its image, each homomorphism applied coordinatewise, in the product
+    (ordered like ``itertools.product``) of the full structures over their
+    targets."""
+    factors = [(h.mapping.__getitem__,
+                _full_structure(logic, h.target).index_of) for h in homs]
+    positions = []
+    for z in snapshots:
+        pos = 0
+        for f, index_of in factors:
+            pos = pos * len(index_of) + index_of[tuple(map(f, z))]
+        positions.append(pos)
+    return positions
+
+
 def kalman_star(logic: LogicId, hom: BaHom) -> MaMap:
     """Lift a Boolean homomorphism to the full structures, componentwise."""
     if not is_ba_hom(hom):
         raise ValueError("map is not a Boolean homomorphism")
     src = full_swap(logic, hom.source)
     tgt = full_swap(logic, hom.target)
-    mapping = tuple(tgt.index_of[tuple(hom.mapping[c] for c in z)]
-                    for z in src.snapshots)
-    return MaMap(src.malg, tgt.malg, mapping)
+    return MaMap(src.malg, tgt.malg, tuple(_lift(logic, [hom], src.snapshots)))
 
 
 def product_iso(logic: LogicId, family: Sequence[BoolAlg]):
-    """The coordinate-shuffling isomorphism between a product of full
-    structures and the full structure over the product algebra.
+    """The isomorphism from a product of full structures onto the full
+    structure over the product algebra: the inverse of the tupled lift of
+    the product algebra's projections.
 
     Returns (iso, product multialgebra, projections, product algebra).
     """
     if not family:
         raise ValueError("family must be nonempty")
-    factors = [full_swap(logic, a) for a in family]
-    prod_malg, projections = ma_product([f.malg for f in factors])
-    prod_alg, _ = ba_product(list(family))
+    prod_malg, projections = ma_product([full_swap(logic, a).malg
+                                         for a in family])
+    prod_alg, ba_projections = ba_product(list(family))
     target = full_swap(logic, prod_alg)
-
-    offsets = []
-    off = 0
-    for a in family:
-        offsets.append(off)
-        off += a.atoms
-
-    width = len(factors[0].snapshots[0])
-    carrier = list(itertools.product(*[range(f.malg.size) for f in factors]))
-    mapping = []
-    for combo in carrier:
-        coords = []
-        for j in range(width):
-            acc = 0
-            for factor, c, shift in zip(factors, combo, offsets):
-                acc |= factor.snapshots[c][j] << shift
-            coords.append(acc)
-        mapping.append(target.index_of[tuple(coords)])
-    iso = MaMap(prod_malg, target.malg, tuple(mapping))
+    lift = _lift(logic, ba_projections, target.snapshots)
+    iso = MaMap(prod_malg, target.malg,
+                tuple(sorted(range(len(lift)), key=lift.__getitem__)))
     return iso, prod_malg, projections, prod_alg
 
 
@@ -417,34 +430,22 @@ def power_of_a2(logic: LogicId, n: int) -> MultiAlg:
 
 
 def represent(logic: LogicId, structure: SwapStructure) -> Representation:
-    """The atom-indexed embedding into a power of the two-element structure.
+    """The atom-indexed embedding into a power of the two-element structure:
+    the tupled lift of the atom evaluations (factor i evaluates at atom i).
 
-    Each snapshot is evaluated coordinatewise at every atom (1 when the atom
-    lies below the coordinate), giving one two-element snapshot per atom; the
-    tuple of those is the image.  Injectivity and homomorphism-hood are what
-    the representation theorems assert, and are checked by the test suite.
+    Injectivity and homomorphism-hood are what the representation theorems
+    assert, and are checked by the test suite.
     """
-    n = structure.algebra.atoms
-    if n < 1:
+    A = structure.algebra
+    if A.atoms < 1:
         raise ValueError("backing algebra must have at least one atom")
     if not is_swap_for(logic, structure):
         raise ValueError(f"structure is not in the {logic.display} class")
-    factor = full_swap(logic, A2)
-    product = power_of_a2(logic, n)
-    m = factor.malg.size
-    width = len(factor.snapshots[0])
-
-    mapping = []
-    for z in structure.snapshots:
-        coords = list(z)
-        if len(coords) != width:
-            coords = [z[0], z[1], z3_view(structure.algebra, z)][:width]
-        idx = 0
-        for i in range(n):  # factor i evaluates at atom i; factor 0 most significant
-            bit_snap = tuple((c >> i) & 1 for c in coords)
-            idx = idx * m + factor.index_of[bit_snap]
-        mapping.append(idx)
-    return Representation(n, MaMap(structure.malg, product, mapping), product)
+    product = power_of_a2(logic, A.atoms)
+    mapping = _lift(logic, atom_embedding(A),
+                    _encoded(logic, A, structure.snapshots))
+    return Representation(A.atoms, MaMap(structure.malg, product, mapping),
+                          product)
 
 
 # ----------------------------------------------------------------------

@@ -17,16 +17,11 @@ from .swap import SwapStructure
 OP_ORDER = (AND, OR, IMP, NEG, CIRC)
 
 
-def _designated(structure: SwapStructure) -> tuple[int, ...]:
-    top = structure.algebra.top
-    return tuple(i for i, z in enumerate(structure.snapshots) if z[0] == top)
-
-
 def _cell_text(structure: SwapStructure, cell: int,
                block: bool, bare: bool) -> str:
     labels = structure.malg.labels
     if block:
-        designated = mask_of(_designated(structure))
+        designated = mask_of(structure.designated)
         if cell == designated:
             return "D"
         if cell == (1 << structure.malg.size) - 1 & ~designated:
@@ -54,7 +49,7 @@ def render_tables(structure: SwapStructure) -> str:
         f"logic: {structure.logic.display}",
         f"atoms: {structure.algebra.atoms}",
         "carrier: " + " ".join(labels),
-        "designated: " + " ".join(labels[i] for i in _designated(structure)),
+        "designated: " + " ".join(labels[i] for i in structure.designated),
     ]
 
     # one grid per operator; a unary table is one column with an empty header
@@ -87,6 +82,6 @@ def tables_json(structure: SwapStructure) -> dict:
         "logic": structure.logic.display,
         "atoms": structure.algebra.atoms,
         "carrier": list(labels),
-        "designated": [labels[i] for i in _designated(structure)],
+        "designated": [labels[i] for i in structure.designated],
         "ops": ops,
     }

@@ -32,6 +32,16 @@ def test_tables_golden():
     assert_golden("tables_cple.txt", ["tables", "cple"])
 
 
+def test_tables_print_the_degenerate_structure():
+    # the one-snapshot structure over no atoms designates its snapshot; only
+    # its matrix, which tables never builds, is refused
+    code, text = capture(["tables", "mbc", "--atoms", "0"])
+    assert code == 0
+    assert text.splitlines()[:4] == ["logic: mbC", "atoms: 0",
+                                     "carrier: (0,0,0)",
+                                     "designated: (0,0,0)"]
+
+
 def test_tables_logic_aliases():
     _, via_alias = capture(["tables", "j3"])
     _, direct = capture(["tables", "LFI1O"])

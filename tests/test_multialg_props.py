@@ -7,12 +7,14 @@ plain Python sets, so nothing here shares code with the bitmask paths.
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapkit.formula import Binary, Signature, Unary, Var, parse, to_text
-from swapkit.multialg import (MaMap, MultiAlg, is_full_homomorphism,
-                              is_homomorphism, is_submultialgebra, ma_product)
+from swapkit.multialg import (EquivRel, MaMap, MultiAlg, is_full_homomorphism,
+                              is_homomorphism, is_multicongruence,
+                              is_submultialgebra, ma_product, quotient)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 SIG = Signature(constants=("e",), unary=("f",), binary=("g",))
@@ -100,6 +102,78 @@ def test_homomorphism_checks_accept_sub_cells(m):
     assert is_homomorphism(MaMap(sub, m, identity))
     assert is_submultialgebra(sub, m, identity)
     assert is_full_homomorphism(MaMap(sub, m, identity)) == (sub == m)
+
+
+@st.composite
+def partitioned(draw):
+    """A multialgebra over SIG with 1 to 4 elements and a partition of its
+    carrier.  Half the time each cell is drawn to meet exactly a set of
+    blocks chosen per argument-block tuple (one block for the constant), so
+    that the partition is compatible; otherwise the cells are random."""
+    size = draw(st.integers(1, 4))
+    names: dict[int, int] = {}
+    block_of = [names.setdefault(b, len(names)) for b in
+                draw(st.lists(st.integers(0, size - 1), min_size=size,
+                              max_size=size))]
+    blocks = [[x for x in range(size) if block_of[x] == b]
+              for b in range(len(names))]
+    rel = EquivRel.from_blocks(blocks, size)
+    if not draw(st.booleans()):
+        return draw(multialgs(size)), rel
+
+    def cell_meeting(chosen):
+        return sum(1 << x for b in chosen
+                   for x in draw(st.sets(st.sampled_from(blocks[b]),
+                                         min_size=1)))
+
+    tables = {}
+    for op, arity in SIG.operators():
+        some_blocks = (st.sets(st.integers(0, len(blocks) - 1), min_size=1,
+                               max_size=1 if arity == 0 else len(blocks)))
+        per_key: dict[tuple, frozenset] = {}
+        tables[op] = [
+            cell_meeting(per_key.setdefault(
+                tuple(block_of[a] for a in args), draw(some_blocks)))
+            for args in all_args(size, arity)]
+    return MultiAlg(SIG, [f"x{i}" for i in range(size)], tables), rel
+
+
+def blocks_met(m, rel, op, args) -> frozenset:
+    return frozenset(rel.block_of[u] for u in m.cell(op, args))
+
+
+def congruent(m, rel) -> bool:
+    """The block set of each cell depends only on the argument blocks, and
+    each constant's cell lies in one block."""
+    for op, arity in SIG.operators():
+        seen = {}
+        for args in all_args(m.size, arity):
+            met = blocks_met(m, rel, op, args)
+            if arity == 0 and len(met) > 1:
+                return False
+            key = tuple(rel.block_of[a] for a in args)
+            if seen.setdefault(key, met) != met:
+                return False
+    return True
+
+
+@SETTINGS
+@given(partitioned())
+def test_multicongruence_matches_definition(drawn):
+    m, rel = drawn
+    verdict = congruent(m, rel)
+    assert is_multicongruence(rel, m) == verdict
+    if not verdict:
+        with pytest.raises(ValueError, match="not a multicongruence"):
+            quotient(m, rel)
+        return
+    quot, proj = quotient(m, rel)
+    assert proj.mapping == rel.block_of and is_full_homomorphism(proj)
+    for op, arity in SIG.operators():
+        for args in all_args(m.size, arity):
+            block_args = tuple(rel.block_of[a] for a in args)
+            assert set(quot.cell(op, block_args)) == blocks_met(m, rel, op,
+                                                                args)
 
 
 def from_json(data: dict) -> MultiAlg:

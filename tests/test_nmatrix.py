@@ -10,7 +10,8 @@ from swapkit.formula import (Binary, Unary, Var, circ, conj, disj, imp, neg,
                              parse, subformula_closure, substitute)
 from swapkit.logics import LogicId
 from swapkit.nmatrix import (Bivaluation, UnsupportedLogicError,
-                             characteristic_matrix, clause_failures, decide,
+                             characteristic_matrix, characteristic_structure,
+                             clause_failures, decide,
                              decide_logic, extend_valuation, extended_closure,
                              induced_valuation, is_bivaluation,
                              is_legal_valuation, nmatrix_of)
@@ -38,6 +39,18 @@ def test_designated_sets():
 def test_nmatrix_rejects_degenerate_backing():
     with pytest.raises(ValueError):
         nmatrix_of(full_swap(L.MBC, powerset_algebra(0)))
+    # the structure itself still reports its designated positions
+    assert full_swap(L.MBC, powerset_algebra(0)).designated == (0,)
+
+
+def test_characteristic_structure_is_the_cached_full_structure():
+    # one cache: the full structure over A2 that full_swap returns
+    for logic in L:
+        if logic is L.CPLE_PLUS:
+            with pytest.raises(UnsupportedLogicError):
+                characteristic_structure(logic)
+        else:
+            assert characteristic_structure(logic) is full_swap(logic, A2)
 
 
 def test_decide_paraconsistency_and_gentle_explosion():
