@@ -173,15 +173,12 @@ def ba_product(factors: Sequence[BoolAlg]) -> tuple[BoolAlg, list[BaHom]]:
 def atom_embedding(algebra: BoolAlg) -> list[BaHom]:
     """One two-valued homomorphism per atom: h_a(x) = 1 iff a <= x.
 
-    Tupling them embeds the algebra into a power of the two-element algebra.
+    These are the projections of the algebra read as a power of the
+    two-element algebra, one factor per atom, so tupling them embeds it.
     """
     if algebra.atoms == 0:
         raise ValueError("degenerate algebra has no atoms to evaluate at")
-    homs = []
-    for i in range(algebra.atoms):
-        mapping = tuple((x >> i) & 1 for x in algebra.elements())
-        homs.append(BaHom(algebra, A2, mapping))
-    return homs
+    return ba_product([A2] * algebra.atoms)[1]
 
 
 # ----------------------------------------------------------------------

@@ -204,6 +204,8 @@ def identity_map(algebra: MultiAlg) -> MaMap:
 
 def compose_maps(f: MaMap, g: MaMap) -> MaMap:
     """f after g."""
+    if g.target is not f.source and g.target != f.source:
+        raise ValueError("maps not composable")
     return MaMap(g.source, f.target, tuple(f.mapping[x] for x in g.mapping))
 
 

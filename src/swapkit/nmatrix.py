@@ -5,32 +5,33 @@ cell determined by its children's values.  Consequence over a finite matrix
 reduces to a search over legal assignments on the subformula closure: cells
 are never empty, so any legal partial valuation extends to a full one.
 
-A query is prepared in two steps.
+A query is answered in two steps.
 
 *Compile*, per query and independent of any matrix: the nodes are
 ``subformula_closure`` of the premises and the goal, children first, and one
 pass over them records each node's operator (none for a variable), its
 children's indices and its slot set, the (operator, argument slot) pairs
 where it occurs, as the bits of ``_BIT``; the premises and the goal become
-node indices.  The result is never changed after it is made, and is kept in
-a small least-recently-used cache keyed on the premises and the goal, so a
-query asked of many matrices, as the defining schemas are in
-characterization, is compiled once.  Formulas are hash-consed, so the key
-hashes in constant time, and the bound keeps the cache from holding on to
-the formulas of many one-off queries.
+node indices.  The result is an immutable record, kept in a small
+least-recently-used cache keyed on the premises and the goal, so a query
+asked of many matrices, as the defining schemas are in characterization, is
+compiled once.  Formulas are hash-consed, so the key hashes in constant
+time, and the bound keeps the cache from holding on to the formulas of many
+one-off queries.
 
-*Bind*, per matrix: each node gets its operator's table (one whole-carrier
-cell for a variable), an ``allowed`` bitmask and a value-class memo.  The
-mask is the set of values a countermodel may give the node: the whole
-carrier, the designated values for a premise, the undesignated values for
-the goal, and none when the goal is also a premise, so that the query holds
-without a search.  Two values share a value class exactly when the node's
-parents cannot tell them apart: equal cells in every (operator, argument
-slot) where the node occurs.  Such values are interchangeable in a
-countermodel, so the search tries one value per class and loses nothing.
-The memo, one per slot set on the matrix and keyed by its bits, maps a cell
-to the least member of each class it meets, ascending: the node's
-candidates, once its table cell is masked by ``allowed``.
+*Decide*, per matrix, binds the query and then searches it, both in
+``decide``.  Binding gives each node its operator's table (one
+whole-carrier cell for a variable), an ``allowed`` bitmask and a
+value-class memo.  The mask is the set of values a countermodel may give the
+node: the whole carrier, the designated values for a premise, the
+undesignated values for the goal, and none when the goal is also a premise,
+so that the query holds without a search.  Two values share a value class
+exactly when the node's parents cannot tell them apart: equal cells in every
+(operator, argument slot) where the node occurs.  Such values are
+interchangeable in a countermodel, so the search tries one value per class
+and loses nothing.  The memo, one per slot set on the matrix and keyed by its
+bits, maps a cell to the least member of each class it meets, ascending: the
+node's candidates, once its table cell is masked by ``allowed``.
 
 The search is a loop over node indices with one cursor per node, and reads
 only those ints, lists and memos: no formula is touched after compilation.
@@ -41,6 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .boolalg import A2
 from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary, Var,
                       circ, neg, subformula_closure, to_text, to_texts)
@@ -196,9 +198,9 @@ class _Picks(dict):
         return picks
 
 
-class _Query:
+class _Query(Frozen):
     """A query compiled from its formulas alone, shared by every matrix it is
-    asked of: nothing may change it.
+    asked of.
 
     ``ops[i]`` is node i's operator, None for a variable, and ``slots[i]``
     its slot set's ``_BIT`` bits.  The per-node fields are lists: tuples of
@@ -207,16 +209,6 @@ class _Query:
     """
 
     __slots__ = ("closure", "ops", "kids", "slots", "premises", "goal")
-
-    def __init__(self, closure: list[Formula], ops: list[Optional[str]],
-                 kids: list[tuple[int, ...]], slots: list[int],
-                 premises: list[int], goal: int):
-        self.closure = closure
-        self.ops = ops
-        self.kids = kids
-        self.slots = slots
-        self.premises = premises
-        self.goal = goal
 
 
 #: Each (operator, argument slot) pair a node can occur in is one bit of a
@@ -257,58 +249,6 @@ def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
                   [node_of[p] for p in premises], node_of[goal])
 
 
-class _Search:
-    """Backtracking search for the least countermodel of a compiled query.
-
-    The constructor binds the query to one matrix (see the module
-    docstring); no method touches a formula.
-    """
-
-    def __init__(self, matrix: Nmatrix, query: _Query):
-        malg = matrix.malg
-        k = self.size = malg.size
-        carrier = (1 << k) - 1
-        designated = mask_of(matrix.designated)
-        self.kids = query.kids
-        self.tables = [[carrier] if op is None else malg.tables[op]
-                       for op in query.ops]
-        self.allowed = [carrier] * len(query.ops)
-        for i in query.premises:
-            self.allowed[i] = designated
-        self.allowed[query.goal] &= carrier & ~designated
-        memos = matrix._picks
-        self.picks = []
-        for bits in query.slots:
-            memo = memos.get(bits)
-            if memo is None:
-                memo = memos[bits] = _Picks(malg, bits)
-            self.picks.append(memo)
-        self.vals: list[int] = [0] * len(query.ops)
-
-    def candidates(self, i: int) -> tuple[int, ...]:
-        pos = 0  # of the children's values in the node's table
-        for child in self.kids[i]:
-            pos = pos * self.size + self.vals[child]
-        return self.picks[i][self.allowed[i] & self.tables[i][pos]]
-
-    def search(self) -> bool:
-        """Fill every node with a countermodel value, if there is one."""
-        n = len(self.vals)
-        cursors = [iter(self.candidates(0))] + [iter(())] * (n - 1)
-        i = 0
-        while i >= 0:
-            u = next(cursors[i], None)
-            if u is None:  # every class at node i failed
-                i -= 1
-                continue
-            self.vals[i] = u
-            i += 1
-            if i == n:
-                return True
-            cursors[i] = iter(self.candidates(i))
-        return False
-
-
 def decide(matrix: Nmatrix, premises: Sequence[Formula],
            goal: Formula) -> Verdict:
     """Is the goal designated under every legal valuation designating the
@@ -320,12 +260,45 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
     one that already failed, so the first countermodel it finds is the least.
     """
     query = _compile(tuple(premises), goal)
-    search = _Search(matrix, query)
-    if 0 in search.allowed or not search.search():
+    malg = matrix.malg
+    k = malg.size
+    n = len(query.ops)
+    carrier = (1 << k) - 1
+    designated = mask_of(matrix.designated)
+    allowed = [carrier] * n
+    for i in query.premises:
+        allowed[i] = designated
+    allowed[query.goal] &= carrier & ~designated
+    if 0 in allowed:
         return Verdict(True)
+    tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
+    memos = matrix._picks
+    picks = []
+    for bits in query.slots:
+        memo = memos.get(bits)
+        if memo is None:
+            memo = memos[bits] = _Picks(malg, bits)
+        picks.append(memo)
+    kids = query.kids
+    vals = [0] * n
+    cursors = [None] * n
+    i = 0
+    while i < n:
+        pos = 0  # of the children's values in node i's table
+        for child in kids[i]:
+            pos = pos * k + vals[child]
+        cursors[i] = iter(picks[i][allowed[i] & tables[i][pos]])
+        u = next(cursors[i], None)
+        while u is None:  # every class at node i failed: back up
+            i -= 1
+            if i < 0:
+                return Verdict(True)
+            u = next(cursors[i], None)
+        vals[i] = u
+        i += 1
     domain = tuple(query.closure)
-    values = dict(zip(domain, search.vals))
-    return Verdict(False, PartialValuation(matrix, domain, values))
+    return Verdict(False, PartialValuation(matrix, domain,
+                                           dict(zip(domain, vals))))
 
 
 class UnsupportedLogicError(ValueError):

@@ -29,9 +29,10 @@ snapshot given (for @z: (~(z1&z2), z1&z2)):
 second coordinate depends on # (&, |, -> in that order).  In LFI1o and
 Ciore every cell is pinned, so their structures are twist-style algebras.
 
-Only the cached build of each full structure (``full_swap``) evaluates the
-clauses.  ``is_swap_for`` embeds a candidate into it, and random draws and
-closed restrictions cut its cells down, so each needs it under the cap.
+Only ``universe`` evaluates the universe clauses, and only the cached build
+of each full structure (``full_swap``) the cell clauses.  ``is_swap_for``
+looks a candidate's snapshots up in it, and random draws and closed
+restrictions cut its cells down, so each needs it under the cap.
 
 One lift of Boolean homomorphisms, coordinatewise, to full structures (the
 functor K*) gives ``kalman_star``; the product isomorphism inverts its tuple
@@ -146,10 +147,6 @@ def snapshot_label(algebra: BoolAlg, z: Snapshot) -> str:
     return "(" + ",".join(str(c) for c in z) + ")"
 
 
-def _in_universe(logic: LogicId, A: BoolAlg, z: Snapshot) -> bool:
-    return _CLAUSES[logic].universe(A, z[0], z[1], z3_view(A, z))
-
-
 def _universe_size(logic: LogicId, atoms: int) -> int:
     """The size of a universe, known before it is built: see ``universe``."""
     return len(universe(logic, A2)) ** atoms
@@ -168,8 +165,9 @@ def universe(logic: LogicId, algebra: BoolAlg) -> tuple[Snapshot, ...]:
     A = algebra
     if A.atoms == 1:
         width = 2 if logic.pair_mode else 3
+        admits = _CLAUSES[logic].universe
         snaps = [z for z in itertools.product(A.elements(), repeat=width)
-                 if _in_universe(logic, A, z)]
+                 if admits(A, z[0], z[1], z3_view(A, z))]
         order = _A2_ORDER_PAIRS if logic.pair_mode else _A2_ORDER_TRIPLES
         named = [z for z in order if z in snaps]
         return tuple(named if len(named) == len(snaps) else snaps)
@@ -194,6 +192,9 @@ class SwapStructure:
                  snapshots: Sequence[Snapshot]):
         if len(snapshots) != malg.size:
             raise ValueError("one snapshot per carrier element required")
+        if malg.signature != LOGIC_SIGNATURE:
+            raise ValueError(f"a swap structure needs the logic signature, "
+                             f"got {malg.signature}")
         self.logic = logic
         self.algebra = algebra
         self.malg = malg
@@ -295,32 +296,35 @@ def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
 # ----------------------------------------------------------------------
 
 def _encoded(logic: LogicId, algebra: BoolAlg,
-             snaps: Sequence[Snapshot]) -> list[Snapshot]:
+             snaps: Sequence[Snapshot]) -> list[Optional[Snapshot]]:
     """The snapshots in the logic's own width: pairs read as triples through
-    the derived third coordinate, triples cut down to pairs."""
-    width = 2 if logic.pair_mode else 3
-    return [z if len(z) == width else (z[0], z[1], z3_view(algebra, z))[:width]
-            for z in snaps]
+    the derived third coordinate, triples cut down to pairs.  A triple whose
+    third coordinate is not the derived one has no pair, and gives None."""
+    if not logic.pair_mode:
+        return [z if len(z) == 3 else (*z, z3_view(algebra, z)) for z in snaps]
+    return [z if len(z) == 2 else z[:2] if z[2] == z3_view(algebra, z[:2])
+            else None for z in snaps]
 
 
 def is_swap_for(logic: LogicId, cand: SwapStructure) -> bool:
     """Structural membership of a candidate in a logic's class of structures.
 
-    Some first coordinate is 0, every snapshot lies in the logic's universe,
-    and the candidate is a submultialgebra of the logic's full structure
-    over its algebra, each snapshot read as the full structure's own.  Pair
-    and triple encodings are reconciled through the derived third
-    coordinate, so any candidate can be tested against any logic.  Raises
-    ``CellCapExceeded`` when that full structure is above ``cell_cap()``.
+    Some first coordinate is 0, and the candidate is a submultialgebra of
+    the logic's full structure over its algebra: each snapshot is looked up
+    in the full structure, read in its width, and a snapshot it lacks (one
+    outside the logic's universe over that algebra) gives False.  Pair and triple encodings
+    are reconciled through the derived third coordinate, so any candidate
+    can be tested against any logic.  Raises ``CellCapExceeded`` when that
+    full structure is above ``cell_cap()``.
     """
     A = cand.algebra
     snaps = cand.snapshots
     if all(z[0] != A.bot for z in snaps):
         return False
-    if not all(_in_universe(logic, A, z) for z in snaps):
-        return False
     full = _full_structure(logic, A)
-    embedding = list(map(full.index_of.__getitem__, _encoded(logic, A, snaps)))
+    embedding = list(map(full.index_of.get, _encoded(logic, A, snaps)))
+    if None in embedding:
+        return False
     return _cells_map_into(cand.malg, full.malg, _Images(embedding), full=False)
 
 

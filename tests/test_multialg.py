@@ -162,6 +162,15 @@ def test_hom_composition_closure_random():
         assert is_homomorphism(compose_maps(proj, inc))
 
 
+def test_compose_maps_refuses_maps_that_do_not_meet():
+    three = full_swap(LogicId.MBCCIW, A2).malg
+    five = m5()
+    for f, g in ((identity_map(five), identity_map(three)),
+                 (identity_map(three), identity_map(five))):
+        with pytest.raises(ValueError, match="not composable"):
+            compose_maps(f, g)
+
+
 def test_epi_iff_surjective_small():
     rng = random.Random(9)
     m = m5()

@@ -1,12 +1,13 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from swapkit.boolalg import A2, all_ba_homs, identity_hom, powerset_algebra
-from swapkit.formula import LOGIC_SIGNATURE, parse
+from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
 from swapkit.logics import CHAIN, LogicId
-from swapkit.multialg import (is_full_homomorphism, is_homomorphism,
+from swapkit.multialg import (MultiAlg, is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
                               is_submultialgebra, ma_product, quotient)
 from swapkit.swap import (KalmanAlgebra, SwapStructure, characterize,
@@ -320,6 +321,23 @@ def test_full_mbc_tested_against_mbcciw_fails():
 
 def test_full_cple_plus_tested_against_mbc_fails():
     assert not is_swap_for(L.MBC, full_swap(L.CPLE_PLUS, A2))
+
+
+def test_a_snapshot_outside_the_algebra_is_in_no_class():
+    # (1, 0, 3) meets the mbC universe clause bitwise but is no snapshot
+    # over A2: each logic's full structure lacks it, so none admits it
+    full = full_swap(L.MBC, A2)
+    snaps = [(1, 0, 3), *full.snapshots[1:]]
+    cand = SwapStructure(L.MBC, A2, full.malg, snaps)
+    assert [is_swap_for(logic, cand) for logic in L] == [False] * len(L)
+    assert not characterize(L.MBC, cand)
+
+
+def test_a_swap_structure_needs_the_logic_signature():
+    negation_only = Signature(unary=("~",))
+    malg = MultiAlg(negation_only, ["T", "F"], {"~": [0b10, 0b01]})
+    with pytest.raises(ValueError, match=re.escape(repr(negation_only))):
+        SwapStructure(L.MBC, A2, malg, [(1, 0), (0, 1)])
 
 
 def test_pair_candidates_test_against_triple_logics():

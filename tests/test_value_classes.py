@@ -16,7 +16,7 @@ from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
                              ProofCheck, axioms_of)
 from swapkit.logics import LogicId
 from swapkit.multialg import EquivRel, MaMap
-from swapkit.nmatrix import Bivaluation, Verdict
+from swapkit.nmatrix import Bivaluation, Verdict, _compile
 from swapkit.swap import BINARY_BA, _CLAUSES, Representation, full_swap
 
 
@@ -97,6 +97,7 @@ def _frozen_instances():
         (MaMap(m, m, tuple(range(m.size))), "mapping"),
         (EquivRel((0, 0), ("b0",)), "block_of"),
         (_CLAUSES[LogicId.MBC], "neg_bounded"),
+        (_compile((parse("p"),), parse("~p | q")), "ops"),
     ]
 
 
