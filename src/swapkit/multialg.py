@@ -18,12 +18,19 @@ cell value.  Membership is a shift and a mask, the image of a cell and the
 union of cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
 ``mask_of`` convert either way.
+
+Whole-table passes run a row at a time in C.  ``_pulled`` reads a table at
+the image of every argument tuple under a carrier map with one row slice and
+one ``operator.itemgetter`` call per argument prefix; homomorphism checks
+compare the list of cell images with the pulled list as whole lists, and
+products extend each row from memoized stretches of product cells.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import product as iproduct
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen, Value
@@ -94,6 +101,28 @@ def _mapped_positions(mapping: Sequence[int], arity: int,
     for _ in range(arity):
         positions = [p * size + m for p in positions for m in mapping]
     return positions
+
+
+def _pulled(table: Sequence[int], mapping: Sequence[int], arity: int,
+            size: int) -> list[int]:
+    """The cells of a table over ``size`` elements at the image of each
+    argument tuple of the map's source, in the source's table order.
+
+    Each prefix of all arguments but the last picks one row of the table;
+    one ``itemgetter`` call reads the whole row at the mapped positions.
+    """
+    if arity == 0:
+        return [table[0]]
+    if len(mapping) > 1:
+        pull = itemgetter(*mapping)
+    elif mapping:  # itemgetter of one index gives a bare item, not a tuple
+        pull = itemgetter(slice(mapping[0], mapping[0] + 1))
+    else:  # and itemgetter of none raises
+        return []
+    out: list[int] = []
+    for row in _mapped_positions(mapping, arity - 1, size):
+        out.extend(pull(table[row * size:(row + 1) * size]))
+    return out
 
 
 class _Images(dict):
@@ -213,17 +242,16 @@ def _cells_map_into(source: MultiAlg, target: MultiAlg, images: _Images,
                     full: bool) -> bool:
     """Is the image of every source cell under ``images.mapping`` inside
     (equal to, when full) the target cell at the mapped arguments?  Each
-    distinct pair of source and target cells is tested once."""
-    mapping = images.mapping
-    if not all(0 <= m < target.size for m in mapping):
+    table is checked whole: the list of cell images against the list of
+    target cells pulled at the mapped arguments."""
+    mapping, size = images.mapping, target.size
+    if not all(0 <= m < size for m in mapping):
         raise ValueError("map leaves the target carrier")
     for op, arity in source.signature.operators():
-        tgt = target.tables[op]
-        at = map(tgt.__getitem__, _mapped_positions(mapping, arity, target.size))
-        for cell, tgt_cell in set(zip(source.tables[op], at)):
-            img = images[cell]
-            if img != tgt_cell if full else img & ~tgt_cell:
-                return False
+        at = _pulled(target.tables[op], mapping, arity, size)
+        imgs = list(map(images.__getitem__, source.tables[op]))
+        if imgs != at if full else list(map(or_, imgs, at)) != at:
+            return False
     return True
 
 
@@ -296,10 +324,15 @@ def _kron_table(left: list[int], p: int, right: list[int], q: int,
     for _ in range(arity - 1):
         prefixes = [(i * p + x, j * q + y)
                     for i, j in prefixes for x in range(p) for y in range(q)]
+    # the product cells of one left cell with one right row, made once
+    stretches: dict[tuple[int, int], list[int]] = {}
     for i, j in prefixes:
-        right_row = right[j * q:(j + 1) * q]
-        for x in range(i * p, (i + 1) * p):
-            out.extend(map(rows[left[x]].__getitem__, right_row))
+        for cell in left[i * p:(i + 1) * p]:
+            stretch = stretches.get((cell, j))
+            if stretch is None:
+                stretch = stretches[cell, j] = list(
+                    map(rows[cell].__getitem__, right[j * q:(j + 1) * q]))
+            out.extend(stretch)
     return out
 
 
@@ -380,8 +413,7 @@ def _restricted_tables(algebra: MultiAlg,
     cuts: dict[int, int] = {}
     tables: dict[str, list[int]] = {}
     for op, arity in algebra.signature.operators():
-        cells = list(map(algebra.tables[op].__getitem__,
-                         _mapped_positions(keep, arity, algebra.size)))
+        cells = _pulled(algebra.tables[op], keep, arity, algebra.size)
         for cell in set(cells).difference(cuts):
             cuts[cell] = images[cell & kept]
         tables[op] = list(map(cuts.__getitem__, cells))

@@ -668,13 +668,15 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
         chosen.add(rng.choice(members(missing)))
 
     positions = sorted(chosen)
+    bits_of: dict[int, tuple[int, ...]] = {}  # each cell's member bits
 
     def restrict(cell: int) -> int:
         if cell & (cell - 1) == 0 or rng.random() > 0.5:
             return cell
-        inside = members(cell)
-        keep = rng.randint(1, len(inside))
-        return mask_of(rng.sample(inside, keep))
+        bits = bits_of.get(cell)
+        if bits is None:
+            bits = bits_of[cell] = tuple(1 << u for u in members(cell))
+        return sum(rng.sample(bits, rng.randint(1, len(bits))))
 
     cut = {op: list(map(restrict, table)) for op, table in
            _restricted_tables(full.malg, positions).items()}

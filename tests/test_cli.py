@@ -208,6 +208,8 @@ def test_kalman_golden():
 
 def test_represent_command():
     assert_golden("represent_mbc2.txt", ["represent", "mbc", "--atoms", "2"])
+    # the 125-element power and its 125-wide homomorphism check
+    assert_golden("represent_mbc3.txt", ["represent", "mbc", "--atoms", "3"])
     code, text = capture(["represent", "ciore", "--json"])
     assert code == 0
     payload = json.loads(text)

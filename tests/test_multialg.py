@@ -7,7 +7,8 @@ from swapkit.boolalg import A2
 from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
 from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
-                              SignatureMismatch, cell_cap, compose_maps,
+                              SignatureMismatch, _pulled, _restricted_tables,
+                              cell_cap, compose_maps,
                               direct_image, epi_mono_factorize, identity_map,
                               is_epimorphism, is_full_homomorphism,
                               is_homomorphism, is_isomorphism,
@@ -121,6 +122,11 @@ def test_maps_and_partitions_must_stay_in_range():
         is_homomorphism(MaMap(m, m, (0, 1, 2, 3, 5)))
     with pytest.raises(ValueError, match="leaves the target"):
         is_submultialgebra(m, m, (0, 1, 2, 3, 5))
+    # a negative index would read a row slice from its end
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_homomorphism(MaMap(m, m, (0, 1, 2, 3, -1)))
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_submultialgebra(m, m, (0, 1, 2, -1, 4))
     with pytest.raises(ValueError, match="without a label"):
         is_multicongruence(EquivRel((0, 0, 1, 1, 2), ("a", "b")), m)
     # a label with no element is an empty block, which no partition has
@@ -132,6 +138,50 @@ def test_maps_and_partitions_must_stay_in_range():
             is_multicongruence(gappy, m)
         with pytest.raises(ValueError, match="empty block"):
             quotient(m, gappy)
+
+
+def test_pulled_reads_the_table_at_mapped_tuples():
+    rng = random.Random(5)
+    for size, arity, length in product((1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 4)):
+        table = [rng.randrange(1, 99) for _ in range(size ** arity)]
+        mapping = [rng.randrange(size) for _ in range(length)]
+        want = [table[sum(mapping[a] * size ** (arity - 1 - k)
+                          for k, a in enumerate(args))]
+                for args in product(range(length), repeat=arity)]
+        assert _pulled(table, mapping, arity, size) == want
+
+
+def test_pulled_with_one_index_gives_a_list():
+    # itemgetter of one index returns the bare item, not a 1-tuple
+    table = [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert _pulled(table, (2,), 2, 3) == [9]
+    assert _pulled(table, [1], 1, 9) == [2]
+    # one-element maps come from the terminal algebra and from one-element
+    # restrictions
+    verdicts = set()
+    for m in (m5(), full_two(), tiny({"f": {(0,): (0,), (1,): (0,)},
+                                      "g": {(i, j): (i,) for i in range(2)
+                                            for j in range(2)}})):
+        terminal = ma_terminal(m.signature)
+        for x in range(m.size):
+            at_x = {op: m.cell(op, (x,) * arity)
+                    for op, arity in m.signature.operators()}
+            closed = all(x in cell for cell in at_x.values())
+            full = all(cell == (x,) for cell in at_x.values())
+            verdicts.add((closed, full))
+            assert is_homomorphism(MaMap(terminal, m, (x,))) == closed
+            assert is_full_homomorphism(MaMap(terminal, m, (x,))) == full
+            assert _restricted_tables(m, [x]) == {
+                op: [int(x in cell)] for op, cell in at_x.items()}
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_pulled_with_an_empty_map_gives_no_cells():
+    # itemgetter of no index raises; an empty map pulls nothing
+    table = [1, 2, 3, 4]
+    assert _pulled(table, (), 1, 4) == []
+    assert _pulled(table, [], 2, 2) == []
+    assert _pulled([5], (), 0, 2) == [5]
 
 
 def test_identity_is_full_homomorphism():

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapkit.formula import Binary, Signature, Unary, Var, parse, to_text
-from swapkit.multialg import (EquivRel, MaMap, MultiAlg, is_full_homomorphism,
-                              is_homomorphism, is_multicongruence,
-                              is_submultialgebra, ma_product, quotient)
+from swapkit.multialg import (EquivRel, MaMap, MultiAlg, _restricted_tables,
+                              is_full_homomorphism, is_homomorphism,
+                              is_multicongruence, is_submultialgebra,
+                              ma_product, quotient)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 SIG = Signature(constants=("e",), unary=("f",), binary=("g",))
@@ -102,6 +103,32 @@ def test_homomorphism_checks_accept_sub_cells(m):
     assert is_homomorphism(MaMap(sub, m, identity))
     assert is_submultialgebra(sub, m, identity)
     assert is_full_homomorphism(MaMap(sub, m, identity)) == (sub == m)
+
+
+@st.composite
+def restricted(draw):
+    """A multialgebra over SIG with 1 to 5 elements and 1 to all of its
+    elements to keep, in any order."""
+    m = draw(multialgs(draw(st.integers(1, 5))))
+    keep = draw(st.lists(st.integers(0, m.size - 1), min_size=1,
+                         max_size=m.size, unique=True))
+    return m, keep
+
+
+@SETTINGS
+@given(restricted())
+def test_restriction_matches_definition(drawn):
+    m, keep = drawn
+    tables = _restricted_tables(m, keep)
+    k = len(keep)
+    for op, arity in SIG.operators():
+        want = []
+        for args in all_args(k, arity):
+            # the cell at the kept elements' tuple, cut down to the kept
+            # elements and renumbered by their place in keep
+            cell = set(m.cell(op, tuple(keep[a] for a in args)))
+            want.append(sum(1 << n for n, u in enumerate(keep) if u in cell))
+        assert tables[op] == want
 
 
 @st.composite
