@@ -14,8 +14,10 @@ constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
 cell is an int whose bit u is set when carrier element u belongs to it.
 Equal cells are one interned int per structure, so a cell costs one list
 slot, equality of multialgebras is plain list equality, and memos key on the
-cell value.  Membership is a shift and a mask, the image of a cell and the
-union of cells are ``|``, and containment is ``a & ~b == 0``.
+cell value.  ``MultiAlg`` interns a table in one pass and then checks only
+the cells that table added, naming the first bad cell in table order.
+Membership is a shift and a mask, the image of a cell and the union of
+cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
 ``mask_of`` convert either way.
 
@@ -29,7 +31,7 @@ products extend each row from memoized stretches of product cells.
 from __future__ import annotations
 
 import os
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -142,6 +144,20 @@ class _Images(dict):
         return img
 
 
+def _check_added(op: str, arity: int, table: Sequence, added: list,
+                 size: int) -> None:
+    """Refuse a table unless the cells it added are all ints with a member
+    and none at or above ``size``.  Only a refused table is walked cell by
+    cell, so that the error names its first bad cell in table order."""
+    if (all(issubclass(t, int) for t in set(map(type, added)))
+            and min(added) > 0 and max(added) >> size == 0):
+        return
+    for at, cell in zip(arg_tuples(size, arity), table):
+        if not isinstance(cell, int) or cell <= 0 or cell >> size:
+            what = "empty" if cell == 0 else "invalid"
+            raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
+
+
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator."""
 
@@ -152,9 +168,15 @@ class MultiAlg:
         self.signature = signature
         self.labels = tuple(labels)
         size = len(self.labels)
+        arities = dict(signature.operators())
+        for op in tables:
+            if op not in arities:
+                raise ValueError(
+                    f"table for operator {op!r} outside the signature")
+        #: the one object for each distinct cell, across all tables
         interned: dict[int, int] = {}
         flat: dict[str, list[int]] = {}
-        for op, arity in signature.operators():
+        for op, arity in arities.items():
             table = tables.get(op)
             if table is None:
                 raise ValueError(f"missing table for operator {op!r}")
@@ -162,14 +184,11 @@ class MultiAlg:
             if len(table) != expected:
                 raise ValueError(
                     f"table for {op!r} has {len(table)} cells, expected {expected}")
-            for cell in set(table).difference(interned):
-                if not isinstance(cell, int) or cell <= 0 or cell >> size:
-                    at = next(args for args, c in
-                              zip(arg_tuples(size, arity), table) if c == cell)
-                    what = "empty" if cell == 0 else "invalid"
-                    raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
-                interned[cell] = cell
-            flat[op] = list(map(interned.__getitem__, table))
+            known = len(interned)
+            flat[op] = list(map(interned.setdefault, table, table))
+            if len(interned) > known:
+                _check_added(op, arity, table,
+                             list(islice(interned, known, None)), size)
         self.tables = flat
 
     @property
@@ -342,7 +361,9 @@ def ma_product(factors: Sequence[MultiAlg],
     """Componentwise product with full-homomorphism projections.
 
     The carrier is ordered like ``itertools.product`` of the factors'
-    carriers.  Tables are folded in from the left, one factor at a time.
+    carriers.  Tables are folded in from the right, one factor at a time,
+    with the product built so far as the right factor of ``_kron_table``:
+    each memoized stretch is then a whole row of that larger product.
     The empty product is the one-element terminal multialgebra; pass the
     signature explicitly for that case.
     """
@@ -368,9 +389,9 @@ def ma_product(factors: Sequence[MultiAlg],
               for parts in iproduct(*[f.labels for f in factors])]
     tables: dict[str, list[int]] = {}
     for op, arity in sig.operators():
-        table, size = factors[0].tables[op], factors[0].size
-        for f in factors[1:]:
-            table = _kron_table(table, size, f.tables[op], f.size, arity)
+        table, size = factors[-1].tables[op], factors[-1].size
+        for f in reversed(factors[:-1]):
+            table = _kron_table(f.tables[op], f.size, table, size, arity)
             size *= f.size
         tables[op] = table
 

@@ -269,7 +269,9 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
         # unpinned binary cells depend only on the first coordinates
         rows = {a: [first_class[opfn(A, a, b)] for b in firsts]
                 for a in first_class}
-        tables[op] = [cell for a in firsts for cell in rows[a]]
+        tables[op] = table = []
+        for a in firsts:
+            table.extend(rows[a])
     return _structure(logic, A, snaps, tables)
 
 

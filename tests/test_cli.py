@@ -210,6 +210,9 @@ def test_represent_command():
     assert_golden("represent_mbc2.txt", ["represent", "mbc", "--atoms", "2"])
     # the 125-element power and its 125-wide homomorphism check
     assert_golden("represent_mbc3.txt", ["represent", "mbc", "--atoms", "3"])
+    # the largest 3-factor power under the default cap: 512 elements
+    assert_golden("represent_cpleplus3.txt",
+                  ["represent", "cple+", "--atoms", "3"])
     code, text = capture(["represent", "ciore", "--json"])
     assert code == 0
     payload = json.loads(text)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from swapkit.boolalg import A2
+from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
 from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
@@ -14,7 +14,7 @@ from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
                               is_homomorphism, is_isomorphism,
                               is_multicongruence, is_submultialgebra,
                               ma_product, ma_terminal, quotient)
-from swapkit.swap import full_swap, random_swap_substructure
+from swapkit.swap import full_swap, power_of_a2, random_swap_substructure
 from helpers import epi_by_separation, malg_from_sets, sets_of
 
 SIG1 = Signature(unary=("f",), binary=("g",))
@@ -52,6 +52,13 @@ def test_cells_must_be_nonempty_and_total():
         MultiAlg(SIG1, ("a", "b"), {"f": [1, 4], "g": [1, 2, 3, 3]})
     with pytest.raises(ValueError, match="missing table"):
         MultiAlg(SIG1, ("a", "b"), {"f": [1, 2]})
+    with pytest.raises(ValueError, match="operator 'h' outside the signature"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3, 1], "h": [7]})
+    # with several bad cells, the first in table order is named
+    with pytest.raises(ValueError, match=r"invalid cell 4 at 'f'\(0,\)"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [4, 0], "g": [1, 2, 3, 1]})
+    with pytest.raises(ValueError, match=r"invalid cell 4 at 'g'\(0, 0\)"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [4, 1, 0, 1]})
 
 
 def test_flat_tables_and_cell_accessor():
@@ -63,12 +70,29 @@ def test_flat_tables_and_cell_accessor():
     # equal cells share one object, so a table costs one slot per cell
     whole = [int("1" * 70, 2) for _ in range(70)]
     assert whole[0] is not whole[1]
-    big = MultiAlg(Signature(unary=("f",)), [f"x{i}" for i in range(70)],
-                   {"f": whole})
-    assert all(cell is big.tables["f"][0] for cell in big.tables["f"])
+    # and across tables: "h" holds an equal but distinct int
+    other = [int("1" * 70, 2) for _ in range(70)]
+    assert other[0] is not whole[0]
+    big = MultiAlg(Signature(unary=("f", "h")), [f"x{i}" for i in range(70)],
+                   {"f": whole, "h": other})
+    assert all(cell is big.tables["f"][0]
+               for table in big.tables.values() for cell in table)
     for bad in [(2,), (0, 1), (-1,)]:
         with pytest.raises(IndexError):
             m.cell("f", bad)
+
+
+def test_library_built_structures_keep_one_object_per_cell():
+    cple3 = full_swap(LogicId.CPLE_PLUS, powerset_algebra(3)).malg
+    cple2 = full_swap(LogicId.CPLE_PLUS, powerset_algebra(2)).malg
+    draw = random_swap_substructure(random.Random(3), LogicId.CPLE_PLUS,
+                                    powerset_algebra(2)).malg
+    quot, _ = quotient(cple2, EquivRel.identity(cple2))
+    for m in [cple3, power_of_a2(LogicId.CPLE_PLUS, 3), draw, quot]:
+        cells = [cell for table in m.tables.values() for cell in table]
+        # ints above 256 are not cached by the interpreter itself
+        assert max(cells) > 256
+        assert len({id(cell) for cell in cells}) == len(set(cells))
 
 
 def test_submultialgebra_reflexive():
