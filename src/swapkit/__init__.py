@@ -13,18 +13,15 @@ modules load on first access to one of their names (PEP 562).
 
 from importlib import import_module as _import_module
 
-from .boolalg import (A2, BaHom, BoolAlg, Cil, DupAlg, atom_embedding,
-                      ba_product, duplicate, make_cil, powerset_algebra,
-                      universal_extension)
+from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
+                      powerset_algebra)
 from .formula import (Binary, Formula, ParseError, Signature, Unary, Var,
                       match_schema, parse, subformula_closure, substitute,
                       to_text)
 from .logics import CHAIN, LogicId, parse_logic
-from .multialg import (EquivRel, MaMap, MultiAlg, direct_image,
-                       epi_mono_factorize, is_epimorphism,
-                       is_full_homomorphism, is_homomorphism, is_isomorphism,
-                       is_multicongruence, is_submultialgebra, ma_product,
-                       ma_terminal, quotient)
+from .multialg import (EquivRel, MaMap, MultiAlg, is_full_homomorphism,
+                       is_homomorphism, is_isomorphism, is_multicongruence,
+                       is_submultialgebra, ma_product, ma_terminal, quotient)
 from .nmatrix import (Bivaluation, Nmatrix, PartialValuation, Verdict,
                       characteristic_matrix, clause_failures, decide,
                       decide_logic, extend_valuation, extended_closure,

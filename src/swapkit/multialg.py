@@ -5,7 +5,7 @@ carrier indices to nonempty sets of indices.  The morphism notions used
 throughout: a map f is a homomorphism when the image of every cell is
 contained in the corresponding target cell, and a full homomorphism when the
 two are equal.  At finite scale, isomorphisms are the bijective full
-homomorphisms and epimorphisms are the surjective homomorphisms.
+homomorphisms.
 
 Tables are flat and cells are bitmasks.  Over a carrier of k elements,
 ``tables[op]`` is one row-major list of k**arity cells: a binary operator's
@@ -306,13 +306,6 @@ def is_isomorphism(f: MaMap) -> bool:
     return is_full_homomorphism(f)
 
 
-def is_epimorphism(f: MaMap) -> bool:
-    """Surjective homomorphism (the categorical epis at finite scale)."""
-    if set(f.mapping) != set(range(f.target.size)):
-        return False
-    return is_homomorphism(f)
-
-
 class _KronRow(dict):
     """Product cells of one left cell with each right cell, made on demand."""
 
@@ -439,34 +432,6 @@ def _restricted_tables(algebra: MultiAlg,
             cuts[cell] = images[cell & kept]
         tables[op] = list(map(cuts.__getitem__, cells))
     return tables
-
-
-def direct_image(f: MaMap) -> tuple[MultiAlg, MaMap, MaMap]:
-    """The image multialgebra of a homomorphism, with the epi-mono pieces.
-
-    Cell at an image tuple: the union of cell images over all of its
-    preimage tuples.  Returns (image, restriction of f onto it, inclusion).
-    """
-    if not is_homomorphism(f):
-        raise ValueError("map is not a homomorphism")
-    image_indices = sorted(set(f.mapping))
-    pos = {t: k for k, t in enumerate(image_indices)}
-    onto_mapping = tuple(pos[t] for t in f.mapping)
-    tables = _pushed_tables(f.source, _Images(onto_mapping), len(image_indices))
-
-    labels = [f.target.labels[t] for t in image_indices]
-    image = MultiAlg(f.source.signature, labels, tables)
-    if not is_submultialgebra(image, f.target, image_indices):
-        raise AssertionError("direct image escaped the target cells")
-    onto = MaMap(f.source, image, onto_mapping)
-    inclusion = MaMap(image, f.target, tuple(image_indices))
-    return image, onto, inclusion
-
-
-def epi_mono_factorize(f: MaMap) -> tuple[MaMap, MaMap]:
-    """Split a homomorphism as surjection-onto-image followed by inclusion."""
-    _image, onto, inclusion = direct_image(f)
-    return onto, inclusion
 
 
 class EquivRel(Frozen):

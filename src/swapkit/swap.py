@@ -49,8 +49,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._frozen import Frozen
-from .boolalg import (A2, BaHom, BoolAlg, _lattice_law_failures,
-                      atom_embedding, ba_product, is_ba_hom)
+from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
+                      is_ba_hom)
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .logics import LogicId
 from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into, _check_cap,
@@ -445,7 +445,9 @@ def represent(logic: LogicId, structure: SwapStructure) -> Representation:
     A = structure.algebra
     if A.atoms < 1:
         raise ValueError("backing algebra must have at least one atom")
-    if not is_swap_for(logic, structure):
+    # the full structure is a member by construction, so only others are checked
+    if (structure is not _full_structure(logic, A)
+            and not is_swap_for(logic, structure)):
         raise ValueError(f"structure is not in the {logic.display} class")
     product = power_of_a2(logic, A.atoms)
     mapping = _lift(logic, atom_embedding(A),
@@ -545,6 +547,29 @@ class KalmanAlgebra:
 
 def kalman_classic(algebra: BoolAlg) -> KalmanAlgebra:
     return KalmanAlgebra(algebra)
+
+
+#: The lattice laws, in the order they are checked and reported.
+_LATTICE_LAWS = ("commutativity", "associativity", "absorption",
+                 "distributivity")
+
+
+def _lattice_law_failures(elements: Sequence,
+                          meet: Callable, join: Callable) -> list[str]:
+    """Names of the lattice laws that meet and join break on the elements."""
+    E = elements
+    broken = (
+        any(meet(x, y) != meet(y, x) or join(x, y) != join(y, x)
+            for x in E for y in E),
+        any(meet(meet(x, y), z) != meet(x, meet(y, z))
+            or join(join(x, y), z) != join(x, join(y, z))
+            for x in E for y in E for z in E),
+        any(meet(x, join(x, y)) != x or join(x, meet(x, y)) != x
+            for x in E for y in E),
+        any(meet(x, join(y, z)) != join(meet(x, y), meet(x, z))
+            for x in E for y in E for z in E),
+    )
+    return [law for law, fails in zip(_LATTICE_LAWS, broken) if fails]
 
 
 def kleene_law_failures(K: KalmanAlgebra) -> list[str]:

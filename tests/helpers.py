@@ -64,9 +64,6 @@ def lattice_from_order(below):
 
 #: M3, the diamond: 0 below three incomparable atoms 1, 2, 3, all below 4
 DIAMOND = lattice_from_order([{0}, {0, 1}, {0, 2}, {0, 3}, {0, 1, 2, 3, 4}])
-#: N5, the pentagon: 0 < 1 < 2 < 4 and 0 < 3 < 4
-PENTAGON = lattice_from_order([{0}, {0, 1}, {0, 1, 2}, {0, 3},
-                               {0, 1, 2, 3, 4}])
 
 
 # ----------------------------------------------------------------------

@@ -594,6 +594,23 @@ def test_represent_rejects_degenerate_and_non_members():
         represent(L.MBCCI, full_swap(L.MBCCIW, A2))
 
 
+def test_represent_does_not_recheck_the_full_structure(monkeypatch):
+    import swapkit.swap as swap
+
+    def refuse(logic, cand):
+        raise AssertionError("is_swap_for was called")
+
+    monkeypatch.setattr(swap, "is_swap_for", refuse)
+    for logic in (L.MBC, L.CPLE_PLUS):
+        result = represent(logic, full_swap(logic, P2))
+        assert len(set(result.hmap.mapping)) == result.hmap.source.size
+    # every other structure, a full one of another logic too, is checked
+    with pytest.raises(AssertionError, match="is_swap_for was called"):
+        represent(L.MBCCI, full_swap(L.MBCCIW, A2))
+    with pytest.raises(AssertionError, match="is_swap_for was called"):
+        represent(L.CI, random_swap_substructure(random.Random(3), L.CI, P2))
+
+
 # ----------------------------------------------------------------------
 # Pair construction and duality
 # ----------------------------------------------------------------------

@@ -9,8 +9,7 @@ import pickle
 import pytest
 
 from swapkit._frozen import Frozen, Value
-from swapkit.boolalg import (A2, BaHom, BoolAlg, Cil, DupAlg, duplicate,
-                             make_cil, powerset_algebra)
+from swapkit.boolalg import A2, BaHom, BoolAlg, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
 from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
                              ProofCheck, axioms_of)
@@ -82,12 +81,9 @@ def test_boolalg_is_a_cache_key():
 def _frozen_instances():
     A1 = powerset_algebra(1)
     m = full_swap(LogicId.MBC, A1).malg
-    lattice = make_cil(("0", "1"), [[0, 0], [0, 1]], [[0, 1], [1, 1]])
     return [
         (BoolAlg(1), "atoms"),
         (BaHom(A1, A1, (0, 1)), "mapping"),
-        (lattice, "top"),
-        (duplicate(lattice), "embed"),
         (Signature(unary=("f",)), "unary"),
         (axioms_of(LogicId.MBC), "names"),
         (Premise(0), "index"),
@@ -200,13 +196,10 @@ def _record_fields():
     field values in slot order)."""
     A1 = powerset_algebra(1)
     m = full_swap(LogicId.MBC, A1).malg
-    lattice = make_cil(("0", "1"), [[0, 0], [0, 1]], [[0, 1], [1, 1]])
     return [
         (BaHom, (A1, A1, (0, 1))),
         (MaMap, (m, m, tuple(range(m.size)))),
         (EquivRel, ((0, 0), ("b0",))),
-        (Cil, _fields_of(lattice)),
-        (DupAlg, _fields_of(duplicate(lattice))),
         (AxiomSet, (LogicId.MBC, ("Ax1", "Ax2"))),
         (Premise, (0,)),
         (Axiom, ("Ax1", parse("p -> q -> p"))),
