@@ -10,19 +10,20 @@ A query is answered in two steps.
 *Compile*, per query and independent of any matrix: the nodes are
 ``subformula_closure`` of the premises and the goal, children first, and one
 pass over them records each node's operator (none for a variable), its
-children's indices and its slot set, the (operator, argument slot) pairs
-where it occurs, as the bits of ``_BIT``; the premises and the goal become
-node indices.  The result is an immutable record, kept in a small
-least-recently-used cache keyed on the premises and the goal, so a query
-asked of many matrices, as the defining schemas are in characterization, is
-compiled once.  Formulas are hash-consed, so the key hashes in constant
+children's indices, its slot set, the (operator, argument slot) pairs where
+it occurs, as the bits of ``_BIT``, and whether it is shared; the premises
+and the goal become node indices.  The result is an immutable record, kept
+in a small least-recently-used cache keyed on the premises and the goal, so
+a query asked of many matrices, as the defining schemas are in
+characterization, is compiled once.  Formulas are hash-consed, so the key hashes in constant
 time, and the bound keeps the cache from holding on to the formulas of many
 one-off queries.
 
 *Decide*, per matrix, binds the query and then searches it, both in
 ``decide``.  Binding gives each node its operator's table (one
 whole-carrier cell for a variable), an ``allowed`` bitmask and a
-value-class memo.  The mask is the set of values a countermodel may give the
+value-class memo (only shared nodes need one in the verdict-only search
+below).  The mask is the set of values a countermodel may give the
 node: the whole carrier, the designated values for a premise, the
 undesignated values for the goal, and none when the goal is also a premise,
 so that the query holds without a search.  Two values share a value class
@@ -33,8 +34,51 @@ and loses nothing.  The memo, one per slot set on the matrix and keyed by its
 bits, maps a cell to the least member of each class it meets, ascending: the
 node's candidates, once its table cell is masked by ``allowed``.
 
-The search is a loop over node indices with one cursor per node, and reads
-only those ints, lists and memos: no formula is touched after compilation.
+The memos read the matrix's tables through views, each carrier element's
+unary cell, row or column in one (operator, slot) pair, built once per matrix
+and shared by every slot set.
+
+There are two search loops, and the caller picks one with ``least``.  Both
+read only those ints, lists and memos: no formula is touched after
+compilation.
+
+*The ordered search* (the default) has one cursor per node and walks the
+nodes in closure order, so the first countermodel it finds is the least
+one.  Goldens, digests and the CLI print that countermodel.
+
+*The verdict-only search* (``least=False``) is cycle-cutset conditioning
+(Dechter, AI 41, 1990).  A node is shared when it fills two or more parent
+slots (``p & p`` fills two).  The loop branches on
+the shared nodes alone, in closure order, one value per value class.  Every
+other node carries a mask: its ``allowed`` values that lie in some cell of
+its table over its children's masks, a one-value mask being read as that
+value.  An empty mask backs up to the last shared node.  Why it is exact:
+with the shared nodes fixed, each other node fills at most one parent slot,
+so the rest of the closure is a forest and every value left in a mask
+extends to a legal valuation of the subtree below it (Freuder, JACM 29,
+1982).  The value classes stay sound at shared nodes, since interchangeable
+values give every parent slot the same cell and so the same masks above.
+Once every mask is nonempty a countermodel is read back parents first, each
+child with several values left taking one that puts its parent's value in
+the cell.  It is legal and refutes the query, but need not be the least.
+
+Three measurements (2-vCPU Xeon, Python 3.11.7) fixed this split:
+
+- Running the verdict-only loop first inside plain ``decide`` made 6,000
+  ``decide`` benchmark queries (seed 3, in-process) slower in six of seven
+  alternating runs, by up to 48%: 74% of them fail, and a failing query
+  still needs the ordered search for its least countermodel.  So only
+  ``swap.validates``, which reads the verdict alone, asks for it.
+- Dropping value classes at shared nodes made no clear difference on the
+  small candidates of the ``characterize`` workload, but validating the 22
+  schemas over the 64-value full CPLe+ structure (2 atoms) then took 35 s,
+  against 24 ms with them and 6 ms with the ordered search.  So shared
+  nodes keep the classes.
+- On fixed full structures the verdict-only loop is not faster: 100 random
+  queries over the 64-value CPLe+ structure took 89 ms against 9 ms, since
+  its masks there are wide.  Its gain is on the small, fresh candidate
+  matrices of characterization, where most queries hold and the ordered
+  search must exhaust the classes of every node to say so.
 """
 
 from __future__ import annotations
@@ -54,13 +98,38 @@ from .swap import SwapStructure, _full_structure
 class Nmatrix:
     """A multialgebra plus a designated subset of its carrier."""
 
-    __slots__ = ("malg", "designated", "_picks")
+    __slots__ = ("malg", "designated", "_picks", "_views")
 
     def __init__(self, malg: MultiAlg, designated):
         self.malg = malg
         self.designated = frozenset(designated)
         #: slot-set bits -> their value-class memo
         self._picks: dict[int, _Picks] = {}
+        #: (operator, slot) -> each carrier element's cell, row or column
+        self._views: dict[tuple[str, int], list] = {}
+
+    def _picks_for(self, bits: int) -> _Picks:
+        memo = self._picks.get(bits)
+        if memo is None:
+            memo = self._picks[bits] = _Picks(self, bits)
+        return memo
+
+    def _view(self, op: str, slot: int) -> list:
+        """Each carrier element's unary cell, row (slot 0) or column (slot 1)
+        as an argument of ``op``, built once."""
+        view = self._views.get((op, slot))
+        if view is None:
+            malg = self.malg
+            k = malg.size
+            table = malg.tables[op]
+            if malg.signature.arity_of(op) == 1:
+                view = table
+            elif slot == 0:
+                view = [tuple(table[u * k:(u + 1) * k]) for u in range(k)]
+            else:
+                view = [tuple(table[u::k]) for u in range(k)]
+            self._views[op, slot] = view
+        return view
 
     def __repr__(self) -> str:
         return f"Nmatrix({self.malg.size} values, {len(self.designated)} designated)"
@@ -171,24 +240,13 @@ class _Picks(dict):
 
     __slots__ = ("class_of",)
 
-    def __init__(self, malg: MultiAlg, bits: int):
+    def __init__(self, matrix: Nmatrix, bits: int):
         super().__init__()
-        k = malg.size
-        views = []
-        for (op, slot), bit in _BIT.items():
-            if not bits & bit:
-                continue
-            table = malg.tables[op]
-            if malg.signature.arity_of(op) == 1:
-                views.append(table)
-            elif slot == 0:
-                views.append([tuple(table[u * k:(u + 1) * k])
-                              for u in range(k)])
-            else:
-                views.append([tuple(table[u::k]) for u in range(k)])
+        views = [matrix._view(op, slot)
+                 for (op, slot), bit in _BIT.items() if bits & bit]
+        keys = zip(*views) if views else [()] * matrix.malg.size
         ids: dict[tuple, int] = {}
-        self.class_of = [ids.setdefault(tuple(view[u] for view in views),
-                                        len(ids)) for u in range(k)]
+        self.class_of = [ids.setdefault(key, len(ids)) for key in keys]
 
     def __missing__(self, cell: int) -> tuple[int, ...]:
         least: dict[int, int] = {}
@@ -202,13 +260,15 @@ class _Query(Frozen):
     """A query compiled from its formulas alone, shared by every matrix it is
     asked of.
 
-    ``ops[i]`` is node i's operator, None for a variable, and ``slots[i]``
-    its slot set's ``_BIT`` bits.  The per-node fields are lists: tuples of
-    many sizes, made and dropped once per query, would pile up in the
-    interpreter's per-size tuple free lists.
+    ``ops[i]`` is node i's operator, None for a variable, ``slots[i]`` its
+    slot set's ``_BIT`` bits, and ``shared[i]`` whether it fills two or more
+    parent slots.  The per-node fields are lists: tuples of many sizes, made
+    and dropped once per query, would pile up in the interpreter's per-size
+    tuple free lists.
     """
 
-    __slots__ = ("closure", "ops", "kids", "slots", "premises", "goal")
+    __slots__ = ("closure", "ops", "kids", "slots", "shared", "premises",
+                 "goal")
 
 
 #: Each (operator, argument slot) pair a node can occur in is one bit of a
@@ -223,13 +283,15 @@ _RIGHT_BIT = {op: bit for (op, slot), bit in _BIT.items() if slot == 1}
 @lru_cache(maxsize=32)
 def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
     """The children-first closure of a query, with each node's operator,
-    child indices and slot bits.  Cached: the logics share their schemas,
-    so characterization asks the same few queries of every candidate."""
+    child indices, slot bits and whether it is shared.  Cached: the logics
+    share their schemas, so characterization asks the same few queries of
+    every candidate."""
     closure = subformula_closure([*premises, goal])
     node_of = {f: i for i, f in enumerate(closure)}
     ops: list[Optional[str]] = []
     kids: list[tuple[int, ...]] = []
     slots = [0] * len(closure)
+    fills = [0] * len(closure)  # parent slots each node fills
     for f in closure:
         if type(f) is Var:
             ops.append(None)
@@ -239,25 +301,32 @@ def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
             ops.append(f.op)
             kids.append((child,))
             slots[child] |= _LEFT_BIT[f.op]
+            fills[child] += 1
         else:
             left, right = node_of[f.left], node_of[f.right]
             ops.append(f.op)
             kids.append((left, right))
             slots[left] |= _LEFT_BIT[f.op]
             slots[right] |= _RIGHT_BIT[f.op]
-    return _Query(closure, ops, kids, slots,
+            fills[left] += 1
+            fills[right] += 1
+    return _Query(closure, ops, kids, slots, [count > 1 for count in fills],
                   [node_of[p] for p in premises], node_of[goal])
 
 
-def decide(matrix: Nmatrix, premises: Sequence[Formula],
-           goal: Formula) -> Verdict:
+def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
+           least: bool = True) -> Verdict:
     """Is the goal designated under every legal valuation designating the
     premises?  On failure the countermodel returned is the least one in the
-    children-first closure order.
+    children-first closure order, or some countermodel with ``least=False``.
 
-    A goal that is also a premise holds at once.  Otherwise the search tries
-    candidates in ascending order and skips only values interchangeable with
-    one that already failed, so the first countermodel it finds is the least.
+    A goal that is also a premise holds at once.  Otherwise the ordered
+    search tries candidates in ascending order and skips only values
+    interchangeable with one that already failed, so the first countermodel
+    it finds is the least.  With ``least=False`` the verdict-only search
+    branches on the shared nodes alone and carries a mask at every other
+    one (see the module docstring); it gives the same verdict, and a caller
+    that reads only ``holds`` should ask for it.
     """
     query = _compile(tuple(premises), goal)
     malg = matrix.malg
@@ -272,14 +341,25 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
     if 0 in allowed:
         return Verdict(True)
     tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
-    memos = matrix._picks
-    picks = []
-    for bits in query.slots:
-        memo = memos.get(bits)
-        if memo is None:
-            memo = memos[bits] = _Picks(malg, bits)
-        picks.append(memo)
     kids = query.kids
+    if least:
+        picks = [matrix._picks_for(bits) for bits in query.slots]
+        vals = _least_countermodel(kids, k, allowed, tables, picks)
+    else:
+        picks = [matrix._picks_for(bits) if shared else None
+                 for bits, shared in zip(query.slots, query.shared)]
+        vals = _some_countermodel(kids, k, allowed, tables, picks)
+    if vals is None:
+        return Verdict(True)
+    domain = tuple(query.closure)
+    return Verdict(False, PartialValuation(matrix, domain,
+                                           dict(zip(domain, vals))))
+
+
+def _least_countermodel(kids, k, allowed, tables, picks):
+    """The ordered search's values, or None: one cursor per node, in
+    closure order."""
+    n = len(kids)
     vals = [0] * n
     cursors = [None] * n
     i = 0
@@ -292,13 +372,95 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula],
         while u is None:  # every class at node i failed: back up
             i -= 1
             if i < 0:
-                return Verdict(True)
+                return None
             u = next(cursors[i], None)
         vals[i] = u
         i += 1
-    domain = tuple(query.closure)
-    return Verdict(False, PartialValuation(matrix, domain,
-                                           dict(zip(domain, vals))))
+    return vals
+
+
+def _some_countermodel(kids, k, allowed, tables, picks):
+    """The verdict-only search's values, or None: a cursor at each shared
+    node (those with ``picks``), a mask at every other."""
+    n = len(kids)
+    masks = [0] * n
+    vals = [-1] * n  # the one value of a mask that has one, else -1
+    cursors = [None] * n
+    trail = []  # shared nodes with a live cursor, innermost last
+    i = 0
+    while i < n:
+        pos = 0  # of the children's values in node i's table
+        for child in kids[i]:
+            u = vals[child]
+            if u < 0:  # a child with several values
+                m = _union(tables[i], k, [masks[c] for c in kids[i]])
+                break
+            pos = pos * k + u
+        else:
+            m = tables[i][pos]
+        m &= allowed[i]
+        if picks[i] is None:
+            if m:
+                masks[i] = m
+                vals[i] = -1 if m & (m - 1) else m.bit_length() - 1
+                i += 1
+                continue
+        else:
+            cursors[i] = iter(picks[i][m])
+            u = next(cursors[i], None)
+            if u is not None:
+                masks[i] = 1 << u
+                vals[i] = u
+                trail.append(i)
+                i += 1
+                continue
+        while trail:  # node i is empty: next value of the last shared node
+            j = trail[-1]
+            u = next(cursors[j], None)
+            if u is not None:
+                masks[j] = 1 << u
+                vals[j] = u
+                i = j + 1
+                break
+            trail.pop()
+        else:
+            return None
+    # read a countermodel back, parents first: each child with several
+    # values left takes one that puts its parent's value in the cell
+    for i in range(n - 1, -1, -1):
+        v = vals[i]
+        if v < 0:  # a root
+            m = masks[i]
+            v = vals[i] = (m & -m).bit_length() - 1
+        kid = kids[i]
+        if not kid or min(vals[child] for child in kid) >= 0:
+            continue
+        bit = 1 << v
+        table = tables[i]
+        if len(kid) == 1:
+            vals[kid[0]] = next(u for u in members(masks[kid[0]])
+                                if table[u] & bit)
+        else:
+            left, right = kid
+            vals[left], vals[right] = next(
+                (u, w) for u in members(masks[left])
+                for w in members(masks[right]) if table[u * k + w] & bit)
+    return vals
+
+
+def _union(table: list[int], k: int, masks: list[int]) -> int:
+    """The union of a table's cells over one or two argument masks."""
+    cell = 0
+    if len(masks) == 1:
+        for u in members(masks[0]):
+            cell |= table[u]
+    else:
+        ws = members(masks[1])
+        for u in members(masks[0]):
+            row = u * k
+            for w in ws:
+                cell |= table[row + w]
+    return cell
 
 
 class UnsupportedLogicError(ValueError):
@@ -308,8 +470,9 @@ class UnsupportedLogicError(ValueError):
 def characteristic_structure(logic: LogicId) -> SwapStructure:
     if logic is LogicId.CPLE_PLUS:
         raise UnsupportedLogicError(
-            "cple+ is characterized only by the whole class of its matrices, "
-            "not by a single finite one; decide over a chosen structure instead")
+            "cple+ is not decided by name: its eight-valued structure over A2 "
+            "is not adopted as its characteristic matrix; decide over a "
+            "chosen structure instead")
     return _full_structure(logic, A2)
 
 

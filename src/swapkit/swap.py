@@ -335,9 +335,11 @@ def validates(structure: SwapStructure, schema: Formula) -> bool:
 
     Metavariables act as propositional variables; by structurality of matrix
     consequence, validity of the schema-as-formula covers all instances.
+    Only the verdict is read, so the search need not find the least
+    countermodel and runs with ``least=False``.
     """
     from .nmatrix import decide, nmatrix_of
-    return decide(nmatrix_of(structure), [], schema).holds
+    return decide(nmatrix_of(structure), [], schema, least=False).holds
 
 
 def characterize(logic: LogicId, cand: SwapStructure) -> bool:

@@ -91,7 +91,7 @@ def test_decide_usage_errors():
     code, text = capture(["decide", "nosuchlogic", "p"])
     assert code == 2
     code, text = capture(["decide", "cple+", "p"])
-    assert code == 2  # no single finite characteristic matrix
+    assert code == 2  # refused by name; decided only over a chosen structure
 
 
 def test_deeply_nested_formulas():

@@ -1,9 +1,12 @@
-"""Differential test of the decision engine against unpruned enumeration.
+"""Differential tests of the decision engine.
 
-The engine prunes interchangeable values and returns the first countermodel
-it finds; the oracle in `helpers` walks every legal valuation in
-lexicographic order.  Both must agree on the verdict and, on failure, on the
-whole least countermodel.
+The ordered search prunes interchangeable values and returns the first
+countermodel it finds; the oracle in `helpers` walks every legal valuation
+in lexicographic order.  Both must agree on the verdict and, on failure, on
+the whole least countermodel.  The verdict-only search (``least=False``)
+must give the oracle's verdict, and on failure a legal countermodel that
+designates every premise and not the goal.  Over matrices too large for the
+oracle, the two searches are checked against each other.
 """
 
 import random
@@ -13,10 +16,12 @@ from hypothesis import strategies as st
 
 from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import Var, circ, conj, disj, imp, neg
+from swapkit.hilbert import SCHEMAS
 from swapkit.logics import LogicId
-from swapkit.nmatrix import characteristic_matrix, decide, nmatrix_of
-from swapkit.swap import random_swap_substructure
-from helpers import brute_force_least_countermodel
+from swapkit.nmatrix import (characteristic_matrix, decide, is_legal_valuation,
+                             nmatrix_of)
+from swapkit.swap import full_swap, random_swap_substructure
+from helpers import brute_force_least_countermodel, random_formula
 
 L = LogicId
 VARIABLES = ("p", "q", "r")
@@ -62,6 +67,15 @@ def queries(draw):
     return premises, goal
 
 
+def assert_refutes(verdict, premises, goal):
+    """A failed verdict's countermodel is legal on the query's closure,
+    designates every premise and leaves the goal undesignated."""
+    cm = verdict.countermodel
+    assert not verdict.holds and is_legal_valuation(cm)
+    assert all(cm.designates(p) for p in premises)
+    assert not cm.designates(goal)
+
+
 def assert_matches_oracle(matrix, premises, goal):
     verdict = decide(matrix, premises, goal)
     expected = brute_force_least_countermodel(matrix, premises, goal)
@@ -70,6 +84,19 @@ def assert_matches_oracle(matrix, premises, goal):
         cm = verdict.countermodel
         assert list(cm.domain) == list(expected)
         assert cm.values == expected
+    some = decide(matrix, premises, goal, least=False)
+    assert some.holds == (expected is None)
+    if expected is not None:
+        assert list(some.countermodel.domain) == list(expected)
+        assert_refutes(some, premises, goal)
+
+
+def assert_searches_agree(matrix, premises, goal):
+    least = decide(matrix, premises, goal)
+    some = decide(matrix, premises, goal, least=False)
+    assert least.holds == some.holds
+    if not some.holds:
+        assert_refutes(some, premises, goal)
 
 
 @SETTINGS
@@ -122,3 +149,34 @@ def test_one_query_on_two_matrices_back_to_back(logic, source, seed, query):
     first = characteristic_matrix(logic)
     for matrix in (first, other, first):
         assert_matches_oracle(matrix, premises, goal)
+
+
+def test_searches_agree_on_every_schema_over_full_structures():
+    """The full structures over one and two atoms have 3 to 64 values."""
+    for logic in L:
+        for atoms in (1, 2):
+            matrix = nmatrix_of(full_swap(logic, powerset_algebra(atoms)))
+            for schema in SCHEMAS.values():
+                assert_searches_agree(matrix, [], schema)
+
+
+def test_searches_agree_on_two_atom_substructures_of_up_to_16_values():
+    """Deeper premises would make the ordered search, not the verdict-only
+    one, take seconds on a few queries."""
+    rng = random.Random(22)
+    matrices = queries = 0
+    while matrices < 60:
+        structure = random_swap_substructure(
+            rng, rng.choice(list(L)), powerset_algebra(2), max_universe=16)
+        try:
+            matrix = nmatrix_of(structure)
+        except ValueError:
+            continue
+        matrices += 1
+        for _ in range(15):
+            premises = [random_formula(rng, ["p", "q"], 1)
+                        for _ in range(rng.randrange(3))]
+            goal = random_formula(rng, ["p", "q"], 3)
+            assert_searches_agree(matrix, premises, goal)
+            queries += 1
+    assert queries == 900

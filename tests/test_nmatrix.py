@@ -207,6 +207,27 @@ def test_decide_logic_refuses_cple_plus():
         decide_logic(L.CPLE_PLUS, [], p)
 
 
+def test_the_structure_over_a2_agrees_with_the_one_over_two_atoms():
+    """For every logic, CPLe+ included, a query holds over the full structure
+    over A2 exactly when it holds over the one over two atoms (up to 64
+    values).  A countermodel over a larger algebra maps to one over A2
+    through the lift of an atom evaluation that sends the goal's first
+    coordinate to 0; the other direction embeds A2 in the larger algebra."""
+    rng = random.Random(7)
+    for logic in L:
+        small = nmatrix_of(full_swap(logic, A2))
+        large = nmatrix_of(full_swap(logic, powerset_algebra(2)))
+        held = 0
+        for _ in range(100):
+            premises = [random_formula(rng, ["p", "q"], 2)
+                        for _ in range(rng.randrange(3))]
+            goal = random_formula(rng, ["p", "q"], 3)
+            verdict = decide(small, premises, goal).holds
+            assert decide(large, premises, goal, least=False).holds == verdict
+            held += verdict
+        assert 0 < held < 100, logic
+
+
 def test_extension_property():
     rng = random.Random(2)
     m5 = nmatrix_of(full_swap(L.MBC, A2))
