@@ -53,9 +53,6 @@ class BoolAlg(Value):
     def le(self, x: int, y: int) -> bool:
         return x | y == y
 
-    def to_json(self) -> dict:
-        return {"atoms": self.atoms}
-
 
 A2 = BoolAlg(1)
 
@@ -76,9 +73,6 @@ class BaHom(Value):
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
-
-    def to_json(self) -> dict:
-        return {"map": list(self.mapping)}
 
 
 def identity_hom(alg) -> BaHom:

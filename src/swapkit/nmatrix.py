@@ -38,33 +38,35 @@ The memos read the matrix's tables through views, each carrier element's
 unary cell, row or column in one (operator, slot) pair, built once per matrix
 and shared by every slot set.
 
-There are two search loops, and the caller picks one with ``least``.  Both
-read only those ints, lists and memos: no formula is touched after
-compilation.
+One search loop reads only those ints, lists and memos: no formula is
+touched after compilation.  It is cycle-cutset conditioning (Dechter, AI 41,
+1990), and ``least`` chooses the cutset.  The loop walks the nodes in
+closure order.  A node in the cutset carries a cursor over its candidates,
+one value per value class.  Every other node carries a mask: its
+``allowed`` values that lie in some cell of its table over its children's
+values, a one-value mask being read as that value.  A node left with no
+value backs up to the last node with a cursor.
 
-*The ordered search* (the default) has one cursor per node and walks the
-nodes in closure order, so the first countermodel it finds is the least
-one.  Goldens, digests and the CLI print that countermodel.
+*The ordered search* (the default) puts every node in the cutset.  No node
+then has several values, a dead end backs up to the node before it, and
+the first countermodel found is the least one.  Goldens, digests and the
+CLI print that countermodel.
 
-*The verdict-only search* (``least=False``) is cycle-cutset conditioning
-(Dechter, AI 41, 1990).  A node is shared when it fills two or more parent
-slots (``p & p`` fills two).  The loop branches on
-the shared nodes alone, in closure order, one value per value class.  Every
-other node carries a mask: its ``allowed`` values that lie in some cell of
-its table over its children's masks, a one-value mask being read as that
-value.  An empty mask backs up to the last shared node.  Why it is exact:
-with the shared nodes fixed, each other node fills at most one parent slot,
-so the rest of the closure is a forest and every value left in a mask
-extends to a legal valuation of the subtree below it (Freuder, JACM 29,
-1982).  The value classes stay sound at shared nodes, since interchangeable
-values give every parent slot the same cell and so the same masks above.
-Once every mask is nonempty a countermodel is read back parents first, each
-child with several values left taking one that puts its parent's value in
-the cell.  It is legal and refutes the query, but need not be the least.
+*The verdict-only search* (``least=False``) puts only the shared nodes in
+the cutset: those that fill two or more parent slots (``p & p`` fills two).
+Why it is exact: with the shared nodes fixed, each other node fills at most
+one parent slot, so the rest of the closure is a forest and every value
+left in a mask extends to a legal valuation of the subtree below it
+(Freuder, JACM 29, 1982).  The value classes stay sound at shared nodes,
+since interchangeable values give every parent slot the same cell and so
+the same masks above.  Once every node has a value or a nonempty mask, a
+countermodel is read back parents first, each child with several values
+left taking one that puts its parent's value in the cell.  It is legal and
+refutes the query, but need not be the least.
 
-Three measurements (2-vCPU Xeon, Python 3.11.7) fixed this split:
+Three measurements (2-vCPU Xeon, Python 3.11.7) are why both cutsets stay:
 
-- Running the verdict-only loop first inside plain ``decide`` made 6,000
+- Running the verdict-only search first inside plain ``decide`` made 6,000
   ``decide`` benchmark queries (seed 3, in-process) slower in six of seven
   alternating runs, by up to 48%: 74% of them fail, and a failing query
   still needs the ordered search for its least countermodel.  So only
@@ -74,7 +76,7 @@ Three measurements (2-vCPU Xeon, Python 3.11.7) fixed this split:
   schemas over the 64-value full CPLe+ structure (2 atoms) then took 35 s,
   against 24 ms with them and 6 ms with the ordered search.  So shared
   nodes keep the classes.
-- On fixed full structures the verdict-only loop is not faster: 100 random
+- On fixed full structures the verdict-only search is not faster: 100 random
   queries over the 64-value CPLe+ structure took 89 ms against 9 ms, since
   its masks there are wide.  Its gain is on the small, fresh candidate
   matrices of characterization, where most queries hold and the ordered
@@ -173,9 +175,13 @@ class PartialValuation:
 
 
 def is_legal_valuation(pv: PartialValuation) -> bool:
-    """Totality on the domain plus membership of each compound in its cell."""
+    """Totality on the domain, every value a carrier index, plus membership
+    of each compound in its cell."""
     malg = pv.matrix.malg
     vals = pv.values
+    if any(type(v) is not int or not 0 <= v < malg.size
+           for v in vals.values()):
+        return False
     for f in pv.domain:
         if f not in vals:
             return False
@@ -320,13 +326,14 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
     premises?  On failure the countermodel returned is the least one in the
     children-first closure order, or some countermodel with ``least=False``.
 
-    A goal that is also a premise holds at once.  Otherwise the ordered
-    search tries candidates in ascending order and skips only values
-    interchangeable with one that already failed, so the first countermodel
-    it finds is the least.  With ``least=False`` the verdict-only search
-    branches on the shared nodes alone and carries a mask at every other
-    one (see the module docstring); it gives the same verdict, and a caller
-    that reads only ``holds`` should ask for it.
+    A goal that is also a premise holds at once.  Otherwise one search
+    walks the closure with a cursor at each node of a cutset and a mask at
+    every other node (see the module docstring); ``least`` picks the
+    cutset.  By default it is every node: candidates are tried in ascending
+    order, skipping only values interchangeable with one that already
+    failed, so the first countermodel found is the least.  With
+    ``least=False`` it is the shared nodes alone; the verdict is the same,
+    and a caller that reads only ``holds`` should ask for it.
     """
     query = _compile(tuple(premises), goal)
     malg = matrix.malg
@@ -341,14 +348,9 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
     if 0 in allowed:
         return Verdict(True)
     tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
-    kids = query.kids
-    if least:
-        picks = [matrix._picks_for(bits) for bits in query.slots]
-        vals = _least_countermodel(kids, k, allowed, tables, picks)
-    else:
-        picks = [matrix._picks_for(bits) if shared else None
-                 for bits, shared in zip(query.slots, query.shared)]
-        vals = _some_countermodel(kids, k, allowed, tables, picks)
+    picks = [matrix._picks_for(bits) if least or shared else None
+             for bits, shared in zip(query.slots, query.shared)]
+    vals = _countermodel(query.kids, k, allowed, tables, picks)
     if vals is None:
         return Verdict(True)
     domain = tuple(query.closure)
@@ -356,75 +358,50 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
                                            dict(zip(domain, vals))))
 
 
-def _least_countermodel(kids, k, allowed, tables, picks):
-    """The ordered search's values, or None: one cursor per node, in
-    closure order."""
-    n = len(kids)
-    vals = [0] * n
-    cursors = [None] * n
-    i = 0
-    while i < n:
-        pos = 0  # of the children's values in node i's table
-        for child in kids[i]:
-            pos = pos * k + vals[child]
-        cursors[i] = iter(picks[i][allowed[i] & tables[i][pos]])
-        u = next(cursors[i], None)
-        while u is None:  # every class at node i failed: back up
-            i -= 1
-            if i < 0:
-                return None
-            u = next(cursors[i], None)
-        vals[i] = u
-        i += 1
-    return vals
+#: The cursor of a node that carries a mask: backing up passes over it.
+_NO_CURSOR = iter(())
 
 
-def _some_countermodel(kids, k, allowed, tables, picks):
-    """The verdict-only search's values, or None: a cursor at each shared
-    node (those with ``picks``), a mask at every other."""
+def _countermodel(kids, k, allowed, tables, picks):
+    """The search's values, or None.  A node with ``picks`` carries a cursor
+    over its value classes; a node without carries a mask (see the module
+    docstring)."""
     n = len(kids)
-    masks = [0] * n
-    vals = [-1] * n  # the one value of a mask that has one, else -1
-    cursors = [None] * n
-    trail = []  # shared nodes with a live cursor, innermost last
+    masks = [0] * n  # written only for nodes left with several values
+    vals = [-1] * n  # a node's one value, or -1 when it has several
+    cursors = [_NO_CURSOR] * n
     i = 0
     while i < n:
         pos = 0  # of the children's values in node i's table
         for child in kids[i]:
             u = vals[child]
             if u < 0:  # a child with several values
-                m = _union(tables[i], k, [masks[c] for c in kids[i]])
+                m = _union(tables[i], k, [masks[c] if vals[c] < 0
+                                          else 1 << vals[c] for c in kids[i]])
                 break
             pos = pos * k + u
         else:
             m = tables[i][pos]
         m &= allowed[i]
-        if picks[i] is None:
-            if m:
-                masks[i] = m
-                vals[i] = -1 if m & (m - 1) else m.bit_length() - 1
-                i += 1
-                continue
-        else:
+        if picks[i] is not None:
             cursors[i] = iter(picks[i][m])
             u = next(cursors[i], None)
-            if u is not None:
-                masks[i] = 1 << u
-                vals[i] = u
-                trail.append(i)
-                i += 1
-                continue
-        while trail:  # node i is empty: next value of the last shared node
-            j = trail[-1]
-            u = next(cursors[j], None)
-            if u is not None:
-                masks[j] = 1 << u
-                vals[j] = u
-                i = j + 1
-                break
-            trail.pop()
+        elif m & (m - 1):
+            masks[i] = m
+            vals[i] = -1
+            i += 1
+            continue
         else:
-            return None
+            u = m.bit_length() - 1 if m else None
+        while u is None:  # node i is empty: back up to the last cursor
+            i -= 1
+            if i < 0:
+                return None
+            u = next(cursors[i], None)
+        vals[i] = u
+        i += 1
+    if -1 not in vals:
+        return vals
     # read a countermodel back, parents first: each child with several
     # values left takes one that puts its parent's value in the cell
     for i in range(n - 1, -1, -1):
@@ -437,14 +414,14 @@ def _some_countermodel(kids, k, allowed, tables, picks):
             continue
         bit = 1 << v
         table = tables[i]
+        values = [members(masks[c]) if vals[c] < 0 else (vals[c],)
+                  for c in kid]
         if len(kid) == 1:
-            vals[kid[0]] = next(u for u in members(masks[kid[0]])
-                                if table[u] & bit)
+            vals[kid[0]] = next(u for u in values[0] if table[u] & bit)
         else:
-            left, right = kid
-            vals[left], vals[right] = next(
-                (u, w) for u in members(masks[left])
-                for w in members(masks[right]) if table[u * k + w] & bit)
+            vals[kid[0]], vals[kid[1]] = next(
+                (u, w) for u in values[0] for w in values[1]
+                if table[u * k + w] & bit)
     return vals
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from swapkit.boolalg import (A2, algebra_atoms, all_ba_homs, atom_embedding,
-                             ba_product, compose_ba, identity_hom, is_ba_hom,
+                             ba_product, compose_ba, is_ba_hom,
                              powerset_algebra)
 from swapkit.swap import _lattice_law_failures
 from helpers import DIAMOND, find_algebra_isomorphism, rock_paper_scissors
@@ -120,8 +120,3 @@ def _calls(table):
 ], ids=["commutativity", "associativity", "absorption", "distributivity"])
 def test_boolean_law_failures_names_each_broken_law(size, meet, join, want):
     assert _lattice_law_failures(range(size), meet, join) == want
-
-
-def test_json_exports():
-    assert powerset_algebra(2).to_json() == {"atoms": 2}
-    assert identity_hom(A2).to_json() == {"map": [0, 1]}

@@ -1,12 +1,16 @@
 """Differential tests of the decision engine.
 
-The ordered search prunes interchangeable values and returns the first
+The engine's one search loop runs with a cursor at every node (the ordered
+search, the default) or at the shared nodes only (``least=False``).  The
+ordered search prunes interchangeable values and returns the first
 countermodel it finds; the oracle in `helpers` walks every legal valuation
 in lexicographic order.  Both must agree on the verdict and, on failure, on
-the whole least countermodel.  The verdict-only search (``least=False``)
-must give the oracle's verdict, and on failure a legal countermodel that
-designates every premise and not the goal.  Over matrices too large for the
-oracle, the two searches are checked against each other.
+the whole least countermodel.  The verdict-only search must give the
+oracle's verdict, and on failure a legal countermodel that designates every
+premise and not the goal.  Over matrices too large for the oracle, the
+ordered search must return the same least countermodel as
+`reference_least_countermodel`, the engine's former ordered loop kept here
+as a reference, and the verdict-only search the same verdict.
 """
 
 import random
@@ -18,8 +22,9 @@ from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import Var, circ, conj, disj, imp, neg
 from swapkit.hilbert import SCHEMAS
 from swapkit.logics import LogicId
-from swapkit.nmatrix import (characteristic_matrix, decide, is_legal_valuation,
-                             nmatrix_of)
+from swapkit.multialg import mask_of
+from swapkit.nmatrix import (_compile, characteristic_matrix, decide,
+                             is_legal_valuation, nmatrix_of)
 from swapkit.swap import full_swap, random_swap_substructure
 from helpers import brute_force_least_countermodel, random_formula
 
@@ -91,10 +96,52 @@ def assert_matches_oracle(matrix, premises, goal):
         assert_refutes(some, premises, goal)
 
 
+def reference_least_countermodel(matrix, premises, goal):
+    """The least countermodel's values in closure order, or None: the
+    ordered loop that `decide` ran before it had one loop for both
+    searches, with one cursor per node, bound to the matrix as `decide`
+    binds it."""
+    query = _compile(tuple(premises), goal)
+    malg = matrix.malg
+    k = malg.size
+    n = len(query.ops)
+    carrier = (1 << k) - 1
+    designated = mask_of(matrix.designated)
+    allowed = [carrier] * n
+    for i in query.premises:
+        allowed[i] = designated
+    allowed[query.goal] &= carrier & ~designated
+    tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
+    picks = [matrix._picks_for(bits) for bits in query.slots]
+    kids = query.kids
+    vals = [0] * n
+    cursors = [None] * n
+    i = 0
+    while i < n:
+        pos = 0  # of the children's values in node i's table
+        for child in kids[i]:
+            pos = pos * k + vals[child]
+        cursors[i] = iter(picks[i][allowed[i] & tables[i][pos]])
+        u = next(cursors[i], None)
+        while u is None:  # every class at node i failed: back up
+            i -= 1
+            if i < 0:
+                return None
+            u = next(cursors[i], None)
+        vals[i] = u
+        i += 1
+    return vals
+
+
 def assert_searches_agree(matrix, premises, goal):
     least = decide(matrix, premises, goal)
+    expected = reference_least_countermodel(matrix, premises, goal)
+    assert least.holds == (expected is None)
+    if expected is not None:
+        cm = least.countermodel
+        assert [cm.values[f] for f in cm.domain] == expected
     some = decide(matrix, premises, goal, least=False)
-    assert least.holds == some.holds
+    assert some.holds == least.holds
     if not some.holds:
         assert_refutes(some, premises, goal)
 
