@@ -16,29 +16,25 @@ from importlib import import_module as _import_module
 from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
                       powerset_algebra)
 from .formula import (Binary, Formula, ParseError, Signature, Unary, Var,
-                      match_schema, parse, subformula_closure, substitute,
-                      to_text)
+                      match_schema, parse, subformula_closure, to_text)
 from .logics import CHAIN, LogicId, parse_logic
 from .multialg import (EquivRel, MaMap, MultiAlg, is_full_homomorphism,
                        is_homomorphism, is_isomorphism, is_multicongruence,
-                       is_submultialgebra, ma_product, ma_terminal, quotient)
+                       is_submultialgebra, ma_product, quotient)
 from .nmatrix import (Bivaluation, Nmatrix, PartialValuation, Verdict,
                       characteristic_matrix, clause_failures, decide,
-                      decide_logic, extend_valuation, extended_closure,
-                      induced_valuation, is_bivaluation, is_legal_valuation,
-                      nmatrix_of)
+                      decide_logic, extended_closure, induced_valuation,
+                      is_bivaluation, is_legal_valuation, nmatrix_of)
 from .swap import (KalmanAlgebra, Snapshot, SwapStructure, characterize,
                    duality_star, find_swap_decoding, full_swap, is_swap_for,
-                   kalman_classic, kalman_star, mbc_quotient_counterexample,
-                   product_iso, random_swap_substructure, represent,
-                   universe, validates)
+                   kalman_star, mbc_quotient_counterexample, product_iso,
+                   random_swap_substructure, represent, universe, validates)
 
 __version__ = "0.1.0"
 
 #: name -> the module that defines it, for the re-exports loaded on first use
-_LAZY = dict.fromkeys(("AxiomSet", "Proof", "axioms_of", "check_proof",
-                       "derives_ciw_bottom", "parse_proof", "serialize_proof"),
-                      "hilbert")
+_LAZY = dict.fromkeys(("Proof", "axioms_of", "check_proof",
+                       "derives_ciw_bottom", "parse_proof"), "hilbert")
 _LAZY.update(dict.fromkeys(("render_tables", "tables_json"), "tables"))
 
 

@@ -10,7 +10,6 @@ these algebras.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from typing import Sequence
 
 from ._frozen import Value
@@ -71,9 +70,6 @@ def powerset_algebra(n: int) -> BoolAlg:
 class BaHom(Value):
     __slots__ = ("source", "target", "mapping")
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
 
 def identity_hom(alg) -> BaHom:
     return BaHom(alg, alg, tuple(range(alg.size)))
@@ -105,10 +101,12 @@ def algebra_atoms(alg: BoolAlg) -> list[int]:
     return [1 << i for i in range(alg.atoms)]
 
 
-def hom_from_atom_map(src, tgt, assignment: Sequence[int],
-                      src_atoms: Sequence[int], tgt_atoms: Sequence[int]) -> BaHom:
+def hom_from_atom_map(src: BoolAlg, tgt: BoolAlg,
+                      assignment: Sequence[int]) -> BaHom:
     """The homomorphism src -> tgt sending x to the join of the target atoms
-    whose assigned source atom lies below x."""
+    whose assigned source atom lies below x; ``assignment`` gives one source
+    atom per target atom, in ``algebra_atoms`` order."""
+    tgt_atoms = algebra_atoms(tgt)
     mapping = []
     for x in range(src.size):
         acc = tgt.bot
@@ -117,24 +115,6 @@ def hom_from_atom_map(src, tgt, assignment: Sequence[int],
                 acc = tgt.join(acc, b)
         mapping.append(acc)
     return BaHom(src, tgt, tuple(mapping))
-
-
-def all_ba_homs(src, tgt) -> list[BaHom]:
-    """Every homomorphism between two finite Boolean algebras.
-
-    Homomorphisms correspond exactly to functions from target atoms to source
-    atoms; with no target atoms there is a single hom iff src is degenerate.
-    """
-    src_atoms = algebra_atoms(src)
-    tgt_atoms = algebra_atoms(tgt)
-    if not src_atoms:
-        # degenerate source: everything collapses, needs degenerate target
-        return [BaHom(src, tgt, tuple(tgt.bot for _ in range(src.size)))] \
-            if not tgt_atoms else []
-    homs = []
-    for assignment in iproduct(src_atoms, repeat=len(tgt_atoms)):
-        homs.append(hom_from_atom_map(src, tgt, assignment, src_atoms, tgt_atoms))
-    return homs
 
 
 def ba_product(factors: Sequence[BoolAlg]) -> tuple[BoolAlg, list[BaHom]]:

@@ -20,8 +20,8 @@ from .logics import LogicId, parse_logic
 from .multialg import (arg_tuples, is_full_homomorphism, is_homomorphism,
                        is_multicongruence)
 from .nmatrix import decide_logic
-from .swap import (_check_kleene_triples, duality_star, find_swap_decoding,
-                   full_swap, kalman_classic, kleene_law_failures,
+from .swap import (KalmanAlgebra, _check_kleene_triples, duality_star,
+                   find_swap_decoding, full_swap, kleene_law_failures,
                    mbc_quotient_counterexample, represent, universe)
 
 #: The names of ``verify.SUITES``, sorted, known without importing verify.
@@ -175,7 +175,7 @@ def _cmd_verify(args, out) -> int:
 def _cmd_kalman(args, out) -> int:
     algebra = powerset_algebra(args.atoms)
     _check_kleene_triples(args.atoms)  # by count, before any pair is built
-    K = kalman_classic(algebra)
+    K = KalmanAlgebra(algebra)
     failures = kleene_law_failures(K)
     star = duality_star(algebra)
     bijective = sorted(star.values()) == sorted(universe(LogicId.MBCCIW, algebra))

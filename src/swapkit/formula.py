@@ -425,16 +425,3 @@ def match_schema(schema: Formula, candidate: Formula) -> Optional[dict[str, Form
             stack.append((s.right, c.right))
             stack.append((s.left, c.left))
     return binding
-
-
-def substitute(schema: Formula, binding: dict[str, Formula]) -> Formula:
-    """Apply a metavariable substitution to a schema."""
-    image: dict[Formula, Formula] = {}
-    for s in subformula_closure([schema]):
-        if isinstance(s, Var):
-            image[s] = binding[s.name] if is_metavariable(s.name) else s
-        elif isinstance(s, Unary):
-            image[s] = Unary(s.op, image[s.child])
-        else:
-            image[s] = Binary(s.op, image[s.left], image[s.right])
-    return image[schema]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ._frozen import Frozen, Value
+from ._frozen import Value
 from .formula import (Binary, Formula, IMP, ParseError, match_schema, parse,
                       to_text)
 from .logics import LogicId
@@ -75,18 +75,9 @@ DEFINING_SCHEMAS: dict[LogicId, tuple[str, ...]] = {
 }
 
 
-class AxiomSet(Frozen):
-    __slots__ = ("logic", "names")
-
-    def schemas(self) -> list[tuple[str, Formula]]:
-        return [(n, SCHEMAS[n]) for n in self.names]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
-
-def axioms_of(logic: LogicId) -> AxiomSet:
-    return AxiomSet(logic, _AXIOM_NAMES[logic])
+def axioms_of(logic: LogicId) -> tuple[str, ...]:
+    """The names of the logic's axiom schemas, in order."""
+    return _AXIOM_NAMES[logic]
 
 
 def resolve_axiom_name(name: str) -> Optional[str]:
@@ -213,6 +204,8 @@ def derives_ciw_bottom(logic: LogicId) -> Proof:
 
 # ----------------------------------------------------------------------
 # Proof file format: one step per line, 1-based references, '#' comments.
+# Fields are separated by any run of blanks (spaces or tabs); the formula
+# takes the rest of the line, and step numbers are ASCII digits.
 #   premise <formula>
 #   axiom <name> <formula>
 #   mp <i> <j>
@@ -225,19 +218,20 @@ def parse_proof(text: str) -> Proof:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *tail = line.split(maxsplit=1)
+        rest = tail[0] if tail else ""
         if head == "premise":
             premises.append(_parse_on_line(lineno, rest))
             steps.append(Premise(len(premises) - 1))
         elif head == "axiom":
-            name, _, body = rest.partition(" ")
-            if not body.strip():
+            name_body = rest.split(maxsplit=1)
+            if len(name_body) != 2:
                 raise ValueError(f"line {lineno}: axiom needs a name and a formula")
+            name, body = name_body
             steps.append(Axiom(name, _parse_on_line(lineno, body)))
         elif head == "mp":
             parts = rest.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
                 raise ValueError(f"line {lineno}: mp needs two step numbers")
             i, j = (int(p) - 1 for p in parts)
             steps.append(ModusPonens(i, j))
@@ -251,15 +245,3 @@ def _parse_on_line(lineno: int, text: str) -> Formula:
         return parse(text)
     except ParseError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
-
-
-def serialize_proof(proof: Proof) -> str:
-    lines = []
-    for step in proof.steps:
-        if isinstance(step, Premise):
-            lines.append(f"premise {to_text(proof.premises[step.index])}")
-        elif isinstance(step, Axiom):
-            lines.append(f"axiom {step.name} {to_text(step.formula)}")
-        else:
-            lines.append(f"mp {step.first + 1} {step.second + 1}")
-    return "\n".join(lines) + "\n"

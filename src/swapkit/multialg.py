@@ -237,17 +237,10 @@ class MaMap(Value):
 
     __slots__ = ("source", "target", "mapping")
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
 
 def _require_same_signature(a: MultiAlg, b: MultiAlg) -> None:
     if a.signature != b.signature:
         raise SignatureMismatch("signatures differ")
-
-
-def identity_map(algebra: MultiAlg) -> MaMap:
-    return MaMap(algebra, algebra, tuple(range(algebra.size)))
 
 
 def compose_maps(f: MaMap, g: MaMap) -> MaMap:
@@ -348,25 +341,18 @@ def _kron_table(left: list[int], p: int, right: list[int], q: int,
     return out
 
 
-def ma_product(factors: Sequence[MultiAlg],
-               signature: Optional[Signature] = None
-               ) -> tuple[MultiAlg, list[MaMap]]:
-    """Componentwise product with full-homomorphism projections.
+def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
+    """Componentwise product of one or more factors, with
+    full-homomorphism projections.
 
     The carrier is ordered like ``itertools.product`` of the factors'
     carriers.  Tables are folded in from the right, one factor at a time,
     with the product built so far as the right factor of ``_kron_table``:
     each memoized stretch is then a whole row of that larger product.
-    The empty product is the one-element terminal multialgebra; pass the
-    signature explicitly for that case.
     """
     if not factors:
-        if signature is None:
-            raise ValueError("the empty product needs an explicit signature")
-        return ma_terminal(signature), []
+        raise ValueError("the product needs at least one factor")
     sig = factors[0].signature
-    if signature is not None and signature != sig:
-        raise SignatureMismatch("signatures differ")
     for f in factors[1:]:
         if f.signature != sig:
             raise SignatureMismatch("signatures differ")
@@ -395,12 +381,6 @@ def ma_product(factors: Sequence[MultiAlg],
         for k, factor in enumerate(factors)
     ]
     return prod, projections
-
-
-def ma_terminal(signature: Signature) -> MultiAlg:
-    """The one-element multialgebra: every cell is the whole (single) carrier."""
-    return MultiAlg(signature, ("*",),
-                    {op: [1] for op, _arity in signature.operators()})
 
 
 def _pushed_tables(algebra: MultiAlg, images: _Images,
@@ -451,7 +431,7 @@ class EquivRel(Frozen):
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], size: int,
-                    labels: Optional[Sequence[str]] = None) -> "EquivRel":
+                    labels: Sequence[str]) -> "EquivRel":
         assign = [-1] * size
         for b, block in enumerate(blocks):
             for x in block:
@@ -460,15 +440,9 @@ class EquivRel(Frozen):
                 assign[x] = b
         if -1 in assign:
             raise ValueError("blocks must cover the carrier")
-        if labels is None:
-            labels = [f"b{b}" for b in range(len(blocks))]
-        elif len(labels) != len(blocks):
+        if len(labels) != len(blocks):
             raise ValueError(f"{len(labels)} labels for {len(blocks)} blocks")
         return cls(tuple(assign), tuple(labels))
-
-    @classmethod
-    def identity(cls, algebra: MultiAlg) -> "EquivRel":
-        return cls(tuple(range(algebra.size)), algebra.labels)
 
 
 def _quotient(rel: EquivRel,

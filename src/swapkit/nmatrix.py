@@ -196,28 +196,6 @@ def is_legal_valuation(pv: PartialValuation) -> bool:
     return True
 
 
-def extend_valuation(pv: PartialValuation,
-                     formulas: Sequence[Formula]) -> PartialValuation:
-    """Deterministic legal extension to a larger closed domain.
-
-    Free choices take the least carrier index; cells are nonempty, so the
-    extension always exists.
-    """
-    domain = tuple(subformula_closure(list(pv.domain) + list(formulas)))
-    values = dict(pv.values)
-    malg = pv.matrix.malg
-    for f in domain:
-        if f in values:
-            continue
-        if isinstance(f, Var):
-            values[f] = 0
-        elif isinstance(f, Unary):
-            values[f] = malg.cell(f.op, (values[f.child],))[0]
-        else:
-            values[f] = malg.cell(f.op, (values[f.left], values[f.right]))[0]
-    return PartialValuation(pv.matrix, domain, values)
-
-
 class Verdict:
     __slots__ = ("holds", "countermodel")
 
@@ -492,16 +470,15 @@ def extended_closure(formulas: Sequence[Formula]) -> tuple[Formula, ...]:
 
 
 class Bivaluation:
-    """A 0/1 assignment on the extended closure of a base formula set; with
-    no ``values`` given, each instance starts from its own empty dict."""
+    """A 0/1 assignment on the extended closure of a base formula set."""
 
     __slots__ = ("logic", "base", "values")
 
     def __init__(self, logic: LogicId, base: tuple[Formula, ...],
-                 values: Optional[dict[Formula, int]] = None):
+                 values: dict[Formula, int]):
         self.logic = logic
         self.base = base
-        self.values = {} if values is None else values
+        self.values = values
 
     def domain(self) -> tuple[Formula, ...]:
         return extended_closure(self.base)

@@ -548,10 +548,6 @@ class KalmanAlgebra:
         return f"({z[0]},{z[1]})"
 
 
-def kalman_classic(algebra: BoolAlg) -> KalmanAlgebra:
-    return KalmanAlgebra(algebra)
-
-
 #: The lattice laws, in the order they are checked and reported.
 _LATTICE_LAWS = ("commutativity", "associativity", "absorption",
                  "distributivity")
@@ -607,7 +603,7 @@ def duality_star(algebra: BoolAlg) -> dict[tuple[int, int], tuple[int, int]]:
     the pair universe: (a, b) with a & b = 0 maps to (~a, ~b) with join 1.
     """
     A = algebra
-    K = kalman_classic(A)
+    K = KalmanAlgebra(A)
     return {z: (A.comp(z[0]), A.comp(z[1])) for z in K.carrier}
 
 

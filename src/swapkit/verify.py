@@ -17,9 +17,9 @@ from .boolalg import (A2, BaHom, algebra_atoms, compose_ba,
 from .formula import AND, IMP, NEG, OR
 from .logics import CHAIN, LogicId
 from .multialg import compose_maps, is_homomorphism, is_isomorphism
-from .swap import (BINARY_BA, EXHAUSTIVE_LIMIT, SwapStructure, characterize,
-                   closed_subuniverse_restrictions, duality_star, full_swap,
-                   is_swap_for, kalman_classic, kalman_star,
+from .swap import (BINARY_BA, EXHAUSTIVE_LIMIT, KalmanAlgebra, SwapStructure,
+                   characterize, closed_subuniverse_restrictions,
+                   duality_star, full_swap, is_swap_for, kalman_star,
                    kleene_law_failures, product_iso, random_swap_substructure,
                    represent, universe)
 
@@ -34,9 +34,8 @@ def _result(checks: list[tuple[bool, str]]) -> tuple[bool, list[str]]:
 
 def random_hom(rng: random.Random, src, tgt) -> BaHom:
     src_atoms = algebra_atoms(src)
-    tgt_atoms = algebra_atoms(tgt)
-    assignment = [rng.choice(src_atoms) for _ in tgt_atoms]
-    return hom_from_atom_map(src, tgt, assignment, src_atoms, tgt_atoms)
+    assignment = [rng.choice(src_atoms) for _ in range(tgt.atoms)]
+    return hom_from_atom_map(src, tgt, assignment)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +211,7 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
     checks = []
     for n in range(1, max_atoms + 1):
         A = powerset_algebra(n)
-        K = kalman_classic(A)
+        K = KalmanAlgebra(A)
         star = duality_star(A)
         checks.append((sorted(star.values()) == sorted(universe(LogicId.MBCCIW, A)),
                        f"{n} atoms: star is a bijection onto the pair universe"))

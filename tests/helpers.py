@@ -6,13 +6,14 @@ import random
 import re
 from itertools import permutations, product
 
+from swapkit.boolalg import BaHom, BoolAlg, algebra_atoms, hom_from_atom_map
 from swapkit.formula import (AND, CIRC, IFF, IMP, NEG, OR, Binary, Formula,
                              ParseError, Unary, Var, circ, conj, disj, iff,
-                             imp, neg)
+                             imp, is_metavariable, neg, subformula_closure)
 from swapkit.hilbert import (SCHEMAS, Axiom, ModusPonens, Premise, Proof,
                              axioms_of)
 from swapkit.logics import LogicId
-from swapkit.multialg import MultiAlg
+from swapkit.multialg import EquivRel, MultiAlg
 from swapkit.nmatrix import (Bivaluation, Nmatrix, PartialValuation,
                              clause_failures, extended_closure)
 
@@ -27,6 +28,12 @@ def malg_from_sets(signature, labels, cells) -> MultiAlg:
                    for _args, members in sorted(table.items())]
               for op, table in cells.items()}
     return MultiAlg(signature, labels, tables)
+
+
+def partition(blocks, size: int) -> EquivRel:
+    """The partition of a carrier into the given blocks, labelled b0, b1..."""
+    return EquivRel.from_blocks(blocks, size,
+                                [f"b{b}" for b in range(len(blocks))])
 
 
 def sets_of(malg: MultiAlg) -> dict:
@@ -124,6 +131,19 @@ def naive_subformulas(f: Formula) -> set[Formula]:
     return {f} | naive_subformulas(f.left) | naive_subformulas(f.right)
 
 
+def substitute(schema: Formula, binding: dict[str, Formula]) -> Formula:
+    """Apply a metavariable substitution to a schema."""
+    image: dict[Formula, Formula] = {}
+    for s in subformula_closure([schema]):
+        if isinstance(s, Var):
+            image[s] = binding[s.name] if is_metavariable(s.name) else s
+        elif isinstance(s, Unary):
+            image[s] = Unary(s.op, image[s.child])
+        else:
+            image[s] = Binary(s.op, image[s.left], image[s.right])
+    return image[schema]
+
+
 def find_algebra_isomorphism(a, b):
     """Exhaustive search for a Boolean-algebra isomorphism between two small
     algebras given by the bot/top/meet/join/imp protocol."""
@@ -139,6 +159,13 @@ def find_algebra_isomorphism(a, b):
                for x in ra for y in ra):
             return perm
     return None
+
+
+def all_ba_homs(src: BoolAlg, tgt: BoolAlg) -> list[BaHom]:
+    """Every homomorphism src -> tgt: one per map from the target's atoms to
+    the source's, in ``itertools.product`` order of those maps."""
+    return [hom_from_atom_map(src, tgt, assignment)
+            for assignment in product(algebra_atoms(src), repeat=tgt.atoms)]
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +185,28 @@ def random_legal_valuation(rng: random.Random, matrix: Nmatrix,
         else:
             values[f] = rng.choice(malg.cell(f.op, (values[f.left], values[f.right])))
     return PartialValuation(matrix, tuple(domain), values)
+
+
+def extend_valuation(pv: PartialValuation,
+                     formulas) -> PartialValuation:
+    """Deterministic legal extension to a larger closed domain.
+
+    Free choices take the least carrier index; cells are nonempty, so the
+    extension always exists (Nmatrices are analytic).
+    """
+    domain = tuple(subformula_closure(list(pv.domain) + list(formulas)))
+    values = dict(pv.values)
+    malg = pv.matrix.malg
+    for f in domain:
+        if f in values:
+            continue
+        if isinstance(f, Var):
+            values[f] = 0
+        elif isinstance(f, Unary):
+            values[f] = malg.cell(f.op, (values[f.child],))[0]
+        else:
+            values[f] = malg.cell(f.op, (values[f.left], values[f.right]))[0]
+    return PartialValuation(pv.matrix, domain, values)
 
 
 def random_bivaluation(rng: random.Random, logic: LogicId,
@@ -215,12 +264,11 @@ def random_proof(rng: random.Random, logic: LogicId, max_steps: int = 12,
     formulas: list[Formula] = list(premises)
 
     def add_axiom() -> None:
-        name = rng.choice(axioms.names)
+        name = rng.choice(axioms)
         schema = SCHEMAS[name]
         metas = sorted({g.name for g in naive_subformulas(schema)
                         if isinstance(g, Var)})
         binding = {m: random_formula(rng, variables, 2) for m in metas}
-        from swapkit.formula import substitute
         inst = substitute(schema, binding)
         steps.append(Axiom(name, inst))
         formulas.append(inst)
@@ -252,7 +300,6 @@ def brute_force_least_countermodel(matrix: Nmatrix, premises, goal,
     trying each cell's values in increasing order, so the first valuation
     that designates the premises and not the goal is the least one.
     """
-    from swapkit.formula import subformula_closure
     closure = subformula_closure(list(premises) + [goal])
     malg = matrix.malg
     D = matrix.designated

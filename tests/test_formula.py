@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from swapkit.formula import (Binary, ParseError, Signature, Unary, Var, circ,
                              conj, disj, imp, match_schema, neg, parse,
-                             subformula_closure, substitute, to_text,
-                             to_texts)
-from helpers import naive_subformulas, random_formula, reference_parse
+                             subformula_closure, to_text, to_texts)
+from helpers import (naive_subformulas, random_formula, reference_parse,
+                     substitute)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 

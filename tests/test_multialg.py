@@ -8,13 +8,12 @@ from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
 from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
                               SignatureMismatch, _pulled, _restricted_tables,
-                              cell_cap, compose_maps, identity_map,
-                              is_full_homomorphism,
+                              cell_cap, compose_maps, is_full_homomorphism,
                               is_homomorphism, is_isomorphism,
                               is_multicongruence, is_submultialgebra,
-                              ma_product, ma_terminal, quotient)
+                              ma_product, quotient)
 from swapkit.swap import full_swap, power_of_a2, random_swap_substructure
-from helpers import epi_by_separation, malg_from_sets, sets_of
+from helpers import epi_by_separation, malg_from_sets, partition, sets_of
 
 SIG1 = Signature(unary=("f",), binary=("g",))
 
@@ -22,6 +21,16 @@ SIG1 = Signature(unary=("f",), binary=("g",))
 def tiny(cells):
     """Two-element multialgebra over one unary and one binary operator."""
     return malg_from_sets(SIG1, ("a", "b"), cells)
+
+
+def identity(m):
+    return MaMap(m, m, tuple(range(m.size)))
+
+
+def terminal(signature):
+    """The one-element multialgebra: every cell is the whole carrier."""
+    return MultiAlg(signature, ("*",),
+                    {op: [1] for op, _arity in signature.operators()})
 
 
 def full_two():
@@ -86,7 +95,7 @@ def test_library_built_structures_keep_one_object_per_cell():
     cple2 = full_swap(LogicId.CPLE_PLUS, powerset_algebra(2)).malg
     draw = random_swap_substructure(random.Random(3), LogicId.CPLE_PLUS,
                                     powerset_algebra(2)).malg
-    quot, _ = quotient(cple2, EquivRel.identity(cple2))
+    quot, _ = quotient(cple2, EquivRel(tuple(range(cple2.size)), cple2.labels))
     for m in [cple3, power_of_a2(LogicId.CPLE_PLUS, 3), draw, quot]:
         cells = [cell for table in m.tables.values() for cell in table]
         # ints above 256 are not cached by the interpreter itself
@@ -155,6 +164,9 @@ def test_maps_and_partitions_must_stay_in_range():
     # a label with no element is an empty block, which no partition has
     with pytest.raises(ValueError, match="3 labels for 2 blocks"):
         EquivRel.from_blocks([[0, 3], [1, 2, 4]], 5, labels=("a", "b", "c"))
+    # and every block is named by the caller
+    with pytest.raises(TypeError, match="labels"):
+        EquivRel.from_blocks([[0, 3], [1, 2, 4]], 5)
     for block_of in ((0, 1, 1, 0, 1), (0, 2, 2, 0, 2)):
         gappy = EquivRel(block_of, ("a", "b", "c"))
         with pytest.raises(ValueError, match="empty block"):
@@ -185,15 +197,15 @@ def test_pulled_with_one_index_gives_a_list():
     for m in (m5(), full_two(), tiny({"f": {(0,): (0,), (1,): (0,)},
                                       "g": {(i, j): (i,) for i in range(2)
                                             for j in range(2)}})):
-        terminal = ma_terminal(m.signature)
+        one = terminal(m.signature)
         for x in range(m.size):
             at_x = {op: m.cell(op, (x,) * arity)
                     for op, arity in m.signature.operators()}
             closed = all(x in cell for cell in at_x.values())
             full = all(cell == (x,) for cell in at_x.values())
             verdicts.add((closed, full))
-            assert is_homomorphism(MaMap(terminal, m, (x,))) == closed
-            assert is_full_homomorphism(MaMap(terminal, m, (x,))) == full
+            assert is_homomorphism(MaMap(one, m, (x,))) == closed
+            assert is_full_homomorphism(MaMap(one, m, (x,))) == full
             assert _restricted_tables(m, [x]) == {
                 op: [int(x in cell)] for op, cell in at_x.items()}
     assert verdicts == {(False, False), (True, False), (True, True)}
@@ -209,8 +221,8 @@ def test_pulled_with_an_empty_map_gives_no_cells():
 
 def test_identity_is_full_homomorphism():
     m = m5()
-    assert is_full_homomorphism(identity_map(m))
-    assert is_isomorphism(identity_map(m))
+    assert is_full_homomorphism(identity(m))
+    assert is_isomorphism(identity(m))
 
 
 def test_random_non_structure_map_rejected():
@@ -231,15 +243,15 @@ def test_hom_composition_closure_random():
         inc = MaMap(b.malg, m, tuple(
             full_swap(LogicId.MBC, A2).index_of[z] for z in b.snapshots))
         assert is_homomorphism(inc)
-        assert is_homomorphism(compose_maps(identity_map(m), inc))
+        assert is_homomorphism(compose_maps(identity(m), inc))
         assert is_homomorphism(compose_maps(proj, inc))
 
 
 def test_compose_maps_refuses_maps_that_do_not_meet():
     three = full_swap(LogicId.MBCCIW, A2).malg
     five = m5()
-    for f, g in ((identity_map(five), identity_map(three)),
-                 (identity_map(three), identity_map(five))):
+    for f, g in ((identity(five), identity(three)),
+                 (identity(three), identity(five))):
         with pytest.raises(ValueError, match="not composable"):
             compose_maps(f, g)
 
@@ -263,12 +275,13 @@ def test_epi_iff_surjective_small():
 
 
 def test_ma_product_empty_terminal_and_unary():
-    one = ma_terminal(SIG1)
-    assert one.size == 1 and one.cell("g", (0, 0)) == (0,)
-    empty, projs = ma_product([], signature=SIG1)
-    assert empty == one and projs == []
-    with pytest.raises(ValueError):
+    # the empty product is refused with a one-line message, not IndexError
+    with pytest.raises(ValueError, match="^the product needs at least one "
+                                         "factor$"):
         ma_product([])
+    one = terminal(SIG1)
+    same, (proj,) = ma_product([one])
+    assert same.tables == one.tables and proj.mapping == (0,)
     m = m5()
     prod, (proj,) = ma_product([m])
     assert is_isomorphism(proj)
@@ -335,12 +348,12 @@ def test_cell_cap_reads_environment(monkeypatch):
 
 def test_multicongruence_identity_and_counterexample_partition():
     m = m5()
-    assert is_multicongruence(EquivRel.identity(m), m)
+    assert is_multicongruence(EquivRel(tuple(range(m.size)), m.labels), m)
     theta = EquivRel.from_blocks([[0, 3], [1, 2, 4]], 5, labels=("a", "b"))
     assert is_multicongruence(theta, m)
     # exhaustive check decides the singleton-T partition: block {T} cannot
     # chase the undesignated outputs required by designated inputs
-    other = EquivRel.from_blocks([[0], [1, 2, 3, 4]], 5)
+    other = partition([[0], [1, 2, 3, 4]], 5)
     assert not is_multicongruence(other, m)
 
 
@@ -353,7 +366,7 @@ def test_multicongruence_agrees_with_definition_bruteforce():
         remap = {b: i for i, b in enumerate(used)}
         blocks = [[x for x in range(5) if remap[assignment[x]] == b]
                   for b in range(len(used))]
-        rel = EquivRel.from_blocks(blocks, 5)
+        rel = partition(blocks, 5)
         # definition: for related tuples, every output chases to a related one
         def related(x, y):
             return rel.block_of[x] == rel.block_of[y]
@@ -372,7 +385,7 @@ def test_multicongruence_agrees_with_definition_bruteforce():
 
 def test_quotient_identity_isomorphic():
     m = m5()
-    q, p = quotient(m, EquivRel.identity(m))
+    q, p = quotient(m, EquivRel(tuple(range(m.size)), m.labels))
     assert is_isomorphism(p)
 
 
@@ -387,7 +400,7 @@ def test_quotient_counterexample_cells_all_two_blocks():
     assert is_full_homomorphism(p)
     # quotient never rejects the relation silently
     with pytest.raises(ValueError):
-        quotient(m, EquivRel.from_blocks([[0], [1, 2, 3, 4]], 5))
+        quotient(m, partition([[0], [1, 2, 3, 4]], 5))
 
 
 def test_constant_operators_full_pipeline():
@@ -396,8 +409,8 @@ def test_constant_operators_full_pipeline():
     m = malg_from_sets(sig, ("a", "b", "c"), {"e": {(): (0, 1)}, "g": full_cell})
 
     # constants must land in one block for a multicongruence
-    merged = EquivRel.from_blocks([[0, 1], [2]], 3)
-    split = EquivRel.from_blocks([[0], [1], [2]], 3)
+    merged = partition([[0, 1], [2]], 3)
+    split = partition([[0], [1], [2]], 3)
     assert is_multicongruence(merged, m)
     assert not is_multicongruence(split, m)
 
@@ -435,7 +448,7 @@ def test_quotient_cells_never_empty_random():
         if len(set(assignment)) == 1:
             continue
         blocks = [[x for x in range(5) if assignment[x] == b] for b in range(2)]
-        rel = EquivRel.from_blocks(blocks, 5)
+        rel = partition(blocks, 5)
         if not is_multicongruence(rel, m):
             continue
         q, _ = quotient(m, rel)

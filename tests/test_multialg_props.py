@@ -144,7 +144,8 @@ def partitioned(draw):
                               max_size=size))]
     blocks = [[x for x in range(size) if block_of[x] == b]
               for b in range(len(names))]
-    rel = EquivRel.from_blocks(blocks, size)
+    rel = EquivRel.from_blocks(blocks, size,
+                               [f"b{b}" for b in range(len(blocks))])
     if not draw(st.booleans()):
         return draw(multialgs(size)), rel
 

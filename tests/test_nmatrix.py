@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import (Binary, Unary, Var, circ, conj, disj, imp, neg,
-                             parse, subformula_closure, substitute)
+                             parse, subformula_closure)
 from swapkit.logics import LogicId
 from swapkit.nmatrix import (Bivaluation, PartialValuation,
                              UnsupportedLogicError, characteristic_matrix, characteristic_structure,
                              clause_failures, decide,
-                             decide_logic, extend_valuation, extended_closure,
+                             decide_logic, extended_closure,
                              induced_valuation, is_bivaluation,
                              is_legal_valuation, nmatrix_of)
 from swapkit.swap import full_swap, random_swap_substructure
-from helpers import (random_bivaluation, random_formula,
-                     random_legal_valuation)
+from helpers import (extend_valuation, random_bivaluation, random_formula,
+                     random_legal_valuation, substitute)
 
 L = LogicId
 p, q = Var("p"), Var("q")
@@ -267,12 +267,13 @@ def test_extension_property():
 
 
 def test_soundness_axioms_and_mp_per_logic():
-    from swapkit.hilbert import axioms_of
+    from swapkit.hilbert import SCHEMAS, axioms_of
     for logic in L:
         if logic is L.CPLE_PLUS:
             continue
         matrix = characteristic_matrix(logic)
-        for name, schema in axioms_of(logic).schemas():
+        for name in axioms_of(logic):
+            schema = SCHEMAS[name]
             assert decide(matrix, [], schema).holds, (logic, name)
         # MP preserves designation, exhaustively over the matrix
         for a in matrix.designated:
@@ -304,10 +305,10 @@ def test_first_projection_of_legal_valuations_is_boolean_evaluation():
 
 
 def test_positive_axioms_validate_in_every_swap_matrix():
-    from swapkit.hilbert import axioms_of
+    from swapkit.hilbert import SCHEMAS, axioms_of
     from swapkit.swap import full_swap, random_swap_substructure
     rng = random.Random(15)
-    positive = axioms_of(L.CPLE_PLUS).schemas()
+    positive = [(n, SCHEMAS[n]) for n in axioms_of(L.CPLE_PLUS)]
     structures = [full_swap(lg, A2) for lg in L]
     structures += [full_swap(L.CPLE_PLUS, powerset_algebra(2))]
     structures += [random_swap_substructure(rng, L.CPLE_PLUS, A2)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from swapkit.boolalg import A2, all_ba_homs, identity_hom, powerset_algebra
+from swapkit.boolalg import A2, identity_hom, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
 from swapkit.logics import CHAIN, LogicId
 from swapkit.multialg import (MultiAlg, is_full_homomorphism, is_homomorphism,
@@ -13,12 +13,12 @@ from swapkit.multialg import (MultiAlg, is_full_homomorphism, is_homomorphism,
 from swapkit.swap import (KalmanAlgebra, SwapStructure, characterize,
                           closed_subuniverse_restrictions, duality_star,
                           find_swap_decoding, full_swap, is_swap_for,
-                          kalman_classic, kalman_star, kleene_law_failures,
+                          kalman_star, kleene_law_failures,
                           mbc_quotient_counterexample, product_iso,
                           random_swap_substructure, represent, universe,
                           validates)
-from helpers import (clause_cell, lattice_from_order, malg_from_sets,
-                     rock_paper_scissors, sets_of)
+from helpers import (all_ba_homs, clause_cell, lattice_from_order,
+                     malg_from_sets, rock_paper_scissors, sets_of)
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -280,7 +280,8 @@ def _lift_record():
                                represent(logic, cand).hmap.mapping)))
     m5 = full_swap(L.MBC, A2).malg
     for blocks in _partitions(list(range(m5.size))):
-        theta = EquivRel.from_blocks(blocks, m5.size)
+        theta = EquivRel.from_blocks(
+            blocks, m5.size, [f"b{b}" for b in range(len(blocks))])
         verdict = is_multicongruence(theta, m5)
         quot = quotient(m5, theta)[0] if verdict else None
         lines.append(repr((blocks, verdict,
@@ -502,7 +503,7 @@ def test_kalman_star_componentwise():
     src = full_swap(L.MBC, P2)
     tgt = full_swap(L.MBC, A2)
     for i, z in enumerate(src.snapshots):
-        assert tgt.snapshots[lifted.mapping[i]] == tuple(h(c) for c in z)
+        assert tgt.snapshots[lifted.mapping[i]] == tuple(h.mapping[c] for c in z)
     assert is_homomorphism(lifted)
 
 
@@ -616,7 +617,7 @@ def test_represent_does_not_recheck_the_full_structure(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_kalman_classic_n3():
-    K = kalman_classic(A2)
+    K = KalmanAlgebra(A2)
     assert [K.label(z) for z in K.carrier] == ["F", "f", "T"]
     assert K.neg(K.center) == K.center
     assert kleene_law_failures(K) == []
@@ -627,9 +628,9 @@ def test_kalman_classic_counts_pairs_before_building(monkeypatch):
     monkeypatch.setenv("SWAPKIT_MAX_CELLS", "8")
     with pytest.raises(CellCapExceeded, match="would need 9 pairs, above "
                                               "the cap 8"):
-        kalman_classic(P2)
+        KalmanAlgebra(P2)
     monkeypatch.setenv("SWAPKIT_MAX_CELLS", "9")
-    assert kalman_classic(P2).size == 9
+    assert KalmanAlgebra(P2).size == 9
 
 
 def test_kalman_carrier_is_every_disjoint_pair_in_layer_order():
@@ -637,12 +638,12 @@ def test_kalman_carrier_is_every_disjoint_pair_in_layer_order():
         A = powerset_algebra(n)
         want = sorted(((a, b) for a in A.elements() for b in A.elements()
                        if a & b == 0), key=lambda z: (z[0], -z[1]))
-        assert kalman_classic(A).carrier == tuple(want)
+        assert KalmanAlgebra(A).carrier == tuple(want)
 
 
 def test_kleene_law_failures_respects_the_cell_cap(monkeypatch):
     from swapkit.multialg import CellCapExceeded
-    K = kalman_classic(P2)  # 9 pairs, 729 triples
+    K = KalmanAlgebra(P2)  # 9 pairs, 729 triples
     monkeypatch.setenv("SWAPKIT_MAX_CELLS", "728")
     with pytest.raises(CellCapExceeded, match="would visit 729 triples"):
         kleene_law_failures(K)
@@ -677,21 +678,21 @@ _DIAMOND_AND_TAIL = lattice_from_order(
         "negation"])
 def test_kleene_law_failures_names_each_broken_law(monkeypatch, algebra,
                                                    patches, want):
-    K = kalman_classic(algebra)
+    K = KalmanAlgebra(algebra)
     for name, method in patches.items():
         monkeypatch.setattr(KalmanAlgebra, name, method)
     assert kleene_law_failures(K) == want
 
 
 def test_kalman_involution_two_atoms():
-    K = kalman_classic(P2)
+    K = KalmanAlgebra(P2)
     for z in K.carrier:
         assert K.neg(K.neg(z)) == z
 
 
 def test_nelson_arrow_defines_the_three_valued_implication():
     # x ->J y := (x -> y) & (~y -> ~x), evaluated over the pairs
-    K = kalman_classic(A2)
+    K = KalmanAlgebra(A2)
     F, f, T = K.carrier
 
     def imp_j(x, y):
@@ -768,5 +769,6 @@ def test_quotient_counterexample_end_to_end():
 def test_identity_quotient_still_decodes():
     m5, _, _, _ = mbc_quotient_counterexample()
     from swapkit.multialg import EquivRel
-    q, _ = quotient(m5.malg, EquivRel.identity(m5.malg))
+    identity = EquivRel(tuple(range(m5.malg.size)), m5.malg.labels)
+    q, _ = quotient(m5.malg, identity)
     assert find_swap_decoding(L.MBC, q, A2) is not None

@@ -11,11 +11,11 @@ import pytest
 from swapkit._frozen import Frozen, Value
 from swapkit.boolalg import A2, BaHom, BoolAlg, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature, parse
-from swapkit.hilbert import (Axiom, AxiomSet, ModusPonens, Premise, Proof,
-                             ProofCheck, axioms_of)
+from swapkit.hilbert import (Axiom, ModusPonens, Premise, Proof,
+                             ProofCheck)
 from swapkit.logics import LogicId
 from swapkit.multialg import EquivRel, MaMap
-from swapkit.nmatrix import Bivaluation, Verdict, _compile
+from swapkit.nmatrix import Verdict, _compile
 from swapkit.swap import BINARY_BA, _CLAUSES, Representation, full_swap
 
 
@@ -85,7 +85,6 @@ def _frozen_instances():
         (BoolAlg(1), "atoms"),
         (BaHom(A1, A1, (0, 1)), "mapping"),
         (Signature(unary=("f",)), "unary"),
-        (axioms_of(LogicId.MBC), "names"),
         (Premise(0), "index"),
         (Axiom("Ax1", parse("p -> q -> p")), "name"),
         (ModusPonens(0, 1), "first"),
@@ -132,15 +131,6 @@ def test_constructor_defaults():
     assert clauses.second is None
     rep = Representation(index_size=1, hmap=None, product=None)
     assert rep.index_size == 1
-
-
-def test_bivaluation_default_values_are_fresh_per_instance():
-    p = parse("p")
-    a = Bivaluation(LogicId.MBC, (p,))
-    b = Bivaluation(LogicId.MBC, (p,))
-    assert a.values == {} and a.values is not b.values
-    a.values[p] = 1
-    assert b.values == {}
 
 
 def test_mutable_records_take_assignment():
@@ -200,7 +190,6 @@ def _record_fields():
         (BaHom, (A1, A1, (0, 1))),
         (MaMap, (m, m, tuple(range(m.size)))),
         (EquivRel, ((0, 0), ("b0",))),
-        (AxiomSet, (LogicId.MBC, ("Ax1", "Ax2"))),
         (Premise, (0,)),
         (Axiom, ("Ax1", parse("p -> q -> p"))),
         (ModusPonens, (0, 1)),
