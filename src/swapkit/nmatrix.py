@@ -7,32 +7,36 @@ are never empty, so any legal partial valuation extends to a full one.
 
 A query is answered in two steps.
 
-*Compile*, per query and independent of any matrix: the nodes are
-``subformula_closure`` of the premises and the goal, children first, and one
-pass over them records each node's operator (none for a variable), its
-children's indices, its slot set, the (operator, argument slot) pairs where
-it occurs, as the bits of ``_BIT``, and whether it is shared; the premises
-and the goal become node indices.  The result is an immutable record, kept
-in a small least-recently-used cache keyed on the premises and the goal, so
-a query asked of many matrices, as the defining schemas are in
-characterization, is compiled once.  Formulas are hash-consed, so the key hashes in constant
+*Compile*, per query and independent of any matrix: one walk,
+``closure_index`` of the premises and the goal, numbers the nodes children
+first, and one pass over its map records each node's operator (none for a
+variable), its children's indices, read from the same map, its slot set,
+the (operator, argument slot) pairs where it occurs, as the bits of
+``_BIT``, and whether it is shared; the premises and the goal become node
+indices.  The result is an immutable record, kept in a small
+least-recently-used cache keyed on the premises and the goal, so a query
+asked of many matrices, as the defining schemas are in characterization,
+is compiled once.  Formulas are hash-consed, so the key hashes in constant
 time, and the bound keeps the cache from holding on to the formulas of many
-one-off queries.
+one-off queries.  The ``decide`` benchmark's queries are one-off: nearly
+every one misses the cache and is compiled, so the walk and the pass are
+paid on every call.
 
 *Decide*, per matrix, binds the query and then searches it, both in
 ``decide``.  Binding gives each node its operator's table (one
 whole-carrier cell for a variable), an ``allowed`` bitmask and a
 value-class memo (only shared nodes need one in the verdict-only search
 below).  The mask is the set of values a countermodel may give the
-node: the whole carrier, the designated values for a premise, the
-undesignated values for the goal, and none when the goal is also a premise,
-so that the query holds without a search.  Two values share a value class
-exactly when the node's parents cannot tell them apart: equal cells in every
-(operator, argument slot) where the node occurs.  Such values are
-interchangeable in a countermodel, so the search tries one value per class
-and loses nothing.  The memo, one per slot set on the matrix and keyed by its
-bits, maps a cell to the least member of each class it meets, ascending: the
-node's candidates, once its table cell is masked by ``allowed``.
+node: the whole carrier, the designated values for a premise (a mask the
+matrix computes once), the undesignated values for the goal, and none
+when the goal is also a premise, so that the query holds without a
+search.  Two values share a value class exactly when the node's parents
+cannot tell them apart: equal cells in every (operator, argument slot)
+where the node occurs.  Such values are interchangeable in a
+countermodel, so the search tries one value per class and loses nothing.
+The memo, one per slot set on the matrix and keyed by its bits, maps a
+cell to the least member of each class it meets, ascending: the node's
+candidates, once its table cell is masked by ``allowed``.
 
 The memos read the matrix's tables through views, each carrier element's
 unary cell, row or column in one (operator, slot) pair, built once per matrix
@@ -90,8 +94,9 @@ from typing import Optional, Sequence
 
 from ._frozen import Frozen
 from .boolalg import A2
-from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary, Var,
-                      circ, neg, subformula_closure, to_text, to_texts)
+from .formula import (AND, CIRC, IMP, NEG, OR, Binary, Formula, Unary,
+                      circ, closure_index, neg, subformula_closure, to_text,
+                      to_texts)
 from .logics import LogicId
 from .multialg import MultiAlg, mask_of, members
 from .swap import SwapStructure, _full_structure
@@ -100,11 +105,12 @@ from .swap import SwapStructure, _full_structure
 class Nmatrix:
     """A multialgebra plus a designated subset of its carrier."""
 
-    __slots__ = ("malg", "designated", "_picks", "_views")
+    __slots__ = ("malg", "designated", "_designated_mask", "_picks", "_views")
 
     def __init__(self, malg: MultiAlg, designated):
         self.malg = malg
         self.designated = frozenset(designated)
+        self._designated_mask = mask_of(self.designated)
         #: slot-set bits -> their value-class memo
         self._picks: dict[int, _Picks] = {}
         #: (operator, slot) -> each carrier element's cell, row or column
@@ -270,31 +276,30 @@ def _compile(premises: tuple[Formula, ...], goal: Formula) -> _Query:
     child indices, slot bits and whether it is shared.  Cached: the logics
     share their schemas, so characterization asks the same few queries of
     every candidate."""
-    closure = subformula_closure([*premises, goal])
-    node_of = {f: i for i, f in enumerate(closure)}
-    ops: list[Optional[str]] = []
-    kids: list[tuple[int, ...]] = []
-    slots = [0] * len(closure)
-    fills = [0] * len(closure)  # parent slots each node fills
-    for f in closure:
-        if type(f) is Var:
-            ops.append(None)
-            kids.append(())
-        elif type(f) is Unary:
+    node_of = closure_index([*premises, goal])
+    n = len(node_of)
+    ops: list[Optional[str]] = [None] * n
+    kids: list[tuple[int, ...]] = [()] * n
+    slots = [0] * n
+    fills = [0] * n  # parent slots each node fills
+    for f, i in node_of.items():
+        kind = type(f)
+        if kind is Unary:
             child = node_of[f.child]
-            ops.append(f.op)
-            kids.append((child,))
+            ops[i] = f.op
+            kids[i] = (child,)
             slots[child] |= _LEFT_BIT[f.op]
             fills[child] += 1
-        else:
+        elif kind is Binary:
             left, right = node_of[f.left], node_of[f.right]
-            ops.append(f.op)
-            kids.append((left, right))
+            ops[i] = f.op
+            kids[i] = (left, right)
             slots[left] |= _LEFT_BIT[f.op]
             slots[right] |= _RIGHT_BIT[f.op]
             fills[left] += 1
             fills[right] += 1
-    return _Query(closure, ops, kids, slots, [count > 1 for count in fills],
+    return _Query(list(node_of), ops, kids, slots,
+                  [count > 1 for count in fills],
                   [node_of[p] for p in premises], node_of[goal])
 
 
@@ -318,7 +323,7 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
     k = malg.size
     n = len(query.ops)
     carrier = (1 << k) - 1
-    designated = mask_of(matrix.designated)
+    designated = matrix._designated_mask
     allowed = [carrier] * n
     for i in query.premises:
         allowed[i] = designated

@@ -4,8 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from swapkit.cli import run
+from swapkit.formula import to_text
+from test_formula import FORMULAS, PARSER_TOKENS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,6 +174,51 @@ def test_malformed_cell_cap_is_a_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ("error: SWAPKIT_MAX_CELLS must be a positive "
                            "integer, got 'abc'\n")
+
+
+#: The fuzzed commands' arguments: every logic name, atom counts in and out
+#: of range, formulas (token soup, well formed, or nested to depth 2000),
+#: proof paths (missing, a directory, a valid proof) and bad cell caps.
+FUZZ_LOGICS = st.sampled_from(("mbc", "mbcciw", "mbcci", "ci", "cple",
+                               "lfi1o", "ciore", "cple+"))
+FUZZ_ATOMS = st.sampled_from((*map(str, range(-5, 3)), "17", "40",
+                              str(10 ** 30)))
+FUZZ_FORMULAS = st.one_of(
+    st.lists(st.sampled_from(PARSER_TOKENS), max_size=12).map("".join),
+    FORMULAS.map(to_text),
+    st.sampled_from((10, 2000)).map(lambda depth: "~" * depth + "p"))
+PROOFS = Path(__file__).parent / "proofs"
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.just("decide"), FUZZ_LOGICS, FUZZ_FORMULAS,
+              st.lists(st.tuples(st.just("-p"), FUZZ_FORMULAS), max_size=2)
+              ).map(lambda t: [*t[:3], *(x for pair in t[3] for x in pair)]),
+    st.tuples(st.sampled_from(("tables", "represent")), FUZZ_LOGICS,
+              st.just("--atoms"), FUZZ_ATOMS).map(list),
+    FUZZ_ATOMS.map(lambda atoms: ["kalman", "--atoms", atoms]),
+    st.tuples(st.just("check-proof"), FUZZ_LOGICS, st.sampled_from(
+        [str(PROOFS / name) for name in ("missing.proof", "", "bottom.proof")]
+    )).map(list),
+    st.sampled_from(("-1", "0", "x")).map(
+        lambda seed: ["verify", "duality", "--seed", seed]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FUZZ_ARGV, st.booleans(),
+       st.sampled_from((None, "", "0", "-3", "abc", "1e3")))
+def test_fuzzed_commands_exit_0_1_or_2_with_one_line_errors(
+        monkeypatch, capsys, argv, as_json, cap):
+    # never a traceback, and an error is one line
+    if cap is None:
+        monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
+    else:
+        monkeypatch.setenv("SWAPKIT_MAX_CELLS", cap)
+    code, text = capture(argv + ["--json"] * as_json)
+    stdout, stderr = capsys.readouterr()
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in text + stdout + stderr
+    if "error:" in text:
+        assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
 def test_check_proof_paths(tmp_path):

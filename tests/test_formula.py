@@ -74,10 +74,15 @@ def test_parse_error_precedence(text, message):
 
 
 #: Token soup for the parser oracle: good and bad identifiers, every
-#: operator, parentheses, blanks and, rarely, a stray character.
+#: operator, parentheses, blanks and, rarely, a stray character.  The last
+#: row is what a tokenizer could misread: a digit or underscore around an
+#: identifier, operator prefixes, non-ASCII letters and digits, and blanks
+#: other than a space.
 PARSER_TOKENS = ("p", "q", "p", "q", "x_1", "A", "B2", "pQ", "Ab", "~", "@",
                  "&", "&", "|", "|", "->", "->", "<->", "(", "(", ")", ")",
-                 " ", " ", "  ", "$", "-")
+                 " ", " ", "  ", "$", "-",
+                 "1p", "_p", "p1", "P_", "<", "<-", "\u00e9", "\u00b2",
+                 "\u0661", "\t", "\n", "\xa0")
 
 
 def _parse_outcome(parser, text):
@@ -141,14 +146,22 @@ FORMULAS = st.recursive(
 
 
 @settings(derandomize=True, max_examples=300)
-@given(st.lists(FORMULAS, min_size=1, max_size=3))
-def test_to_texts_matches_to_text_on_every_closure_node(formulas):
+@given(st.lists(FORMULAS, min_size=1, max_size=3).flatmap(
+    lambda formulas: st.tuples(
+        st.just(formulas),
+        st.permutations(subformula_closure(formulas)))))
+def test_to_texts_matches_to_text_on_every_closure_node(case):
+    formulas, shuffled = case
     closure = subformula_closure(formulas)
     texts = to_texts(closure)
     assert list(texts) == closure
     assert all(texts[g] == to_text(g) for g in closure)
     # parents before children: every node is rendered on its own
     assert to_texts(closure[::-1]) == texts
+    # any order: nodes rendered on their own and parents built from them
+    # meet in one call
+    assert to_texts(shuffled) == texts
+    assert list(to_texts(shuffled)) == shuffled
 
 
 def test_subformula_closure_direct_listing():
