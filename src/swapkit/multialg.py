@@ -14,8 +14,12 @@ constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
 cell is an int whose bit u is set when carrier element u belongs to it.
 Equal cells are one interned int per structure, so a cell costs one list
 slot, equality of multialgebras is plain list equality, and memos key on the
-cell value.  ``MultiAlg`` interns a table in one pass and then checks only
-the cells that table added, naming the first bad cell in table order.
+cell value.  A table given to ``MultiAlg`` may be a list or any other
+iterable of cells, such as a stream that its builder never holds whole, so
+that a big structure is held in one copy.  Each table is read in one pass,
+which interns its cells while it makes the structure's own list; a stream is
+read once, and at most one cell past its k**arity.  Only the cells that
+table added are checked, and the first bad cell is named in table order.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
@@ -25,13 +29,14 @@ Whole-table passes run a row at a time in C.  ``_pulled`` reads a table at
 the image of every argument tuple under a carrier map with one row slice and
 one ``operator.itemgetter`` call per argument prefix; homomorphism checks
 compare the list of cell images with the pulled list as whole lists, and
-products extend each row from memoized stretches of product cells.
+products chain each row from memoized stretches of product cells.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import islice, product as iproduct
+from collections.abc import Sized
+from itertools import chain, islice, product as iproduct
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -144,7 +149,7 @@ class _Images(dict):
         return img
 
 
-def _check_added(op: str, arity: int, table: Sequence, added: list,
+def _check_added(op: str, arity: int, cells: list, added: list,
                  size: int) -> None:
     """Refuse a table unless the cells it added are all ints with a member
     and none at or above ``size``.  Only a refused table is walked cell by
@@ -152,19 +157,40 @@ def _check_added(op: str, arity: int, table: Sequence, added: list,
     if (all(issubclass(t, int) for t in set(map(type, added)))
             and min(added) > 0 and max(added) >> size == 0):
         return
-    for at, cell in zip(arg_tuples(size, arity), table):
+    for at, cell in zip(arg_tuples(size, arity), cells):
         if not isinstance(cell, int) or cell <= 0 or cell >> size:
             what = "empty" if cell == 0 else "invalid"
             raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
 
 
+def _refuse_length(op: str, count: int | str, expected: int) -> None:
+    raise ValueError(f"table for {op!r} has {count} cells, expected {expected}")
+
+
+class _Interned(dict):
+    """The one object for each distinct cell, across all tables: a cell not
+    yet seen is stored under itself, on lookup or by ``setdefault``."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell: int) -> int:
+        self[cell] = cell
+        return cell
+
+
 class MultiAlg:
-    """Carrier with labels plus one total nonempty-cell table per operator."""
+    """Carrier with labels plus one total nonempty-cell table per operator.
+
+    Each table may be any iterable of cells in table order.  A sized one,
+    such as a list, must have size**arity cells.  Any other is read once,
+    and at most one cell past size**arity, so that a stream too long or
+    endless is refused.
+    """
 
     __slots__ = ("signature", "labels", "tables")
 
     def __init__(self, signature: Signature, labels: Sequence[str],
-                 tables: dict[str, Sequence[int]]):
+                 tables: dict[str, Iterable[int]]):
         self.signature = signature
         self.labels = tuple(labels)
         size = len(self.labels)
@@ -173,21 +199,29 @@ class MultiAlg:
             if op not in arities:
                 raise ValueError(
                     f"table for operator {op!r} outside the signature")
-        #: the one object for each distinct cell, across all tables
-        interned: dict[int, int] = {}
+        interned = _Interned()
         flat: dict[str, list[int]] = {}
         for op, arity in arities.items():
             table = tables.get(op)
             if table is None:
                 raise ValueError(f"missing table for operator {op!r}")
             expected = size ** arity
-            if len(table) != expected:
-                raise ValueError(
-                    f"table for {op!r} has {len(table)} cells, expected {expected}")
             known = len(interned)
-            flat[op] = list(map(interned.setdefault, table, table))
+            if isinstance(table, Sized):
+                if len(table) != expected:
+                    _refuse_length(op, len(table), expected)
+                # read twice in step, so that setdefault stores a new cell
+                # in C rather than through __missing__
+                cells = list(map(interned.setdefault, table, table))
+            else:
+                cells = list(map(interned.__getitem__,
+                                 islice(table, expected + 1)))
+                if len(cells) != expected:
+                    _refuse_length(op, len(cells) if len(cells) < expected
+                                   else f"more than {expected}", expected)
+            flat[op] = cells
             if len(interned) > known:
-                _check_added(op, arity, table,
+                _check_added(op, arity, cells,
                              list(islice(interned, known, None)), size)
         self.tables = flat
 
@@ -317,13 +351,16 @@ class _KronRow(dict):
 
 
 def _kron_table(left: list[int], p: int, right: list[int], q: int,
-                arity: int) -> list[int]:
+                arity: int) -> Iterable[int]:
     """One operator's table on the product of a p- and a q-element carrier,
-    whose element (x, y) has index x*q + y."""
+    whose element (x, y) has index x*q + y, as a stream to be read once.
+
+    The stream chains references to memoized stretches, so the table is
+    never held whole; a caller that slices it by rows makes it a list.
+    """
     rows = {a: _KronRow(a, q) for a in set(left)}
     if arity == 0:
         return [rows[left[0]][right[0]]]
-    out: list[int] = []
     # (left, right) positions of every argument prefix but the last argument
     prefixes = [(0, 0)]
     for _ in range(arity - 1):
@@ -331,14 +368,15 @@ def _kron_table(left: list[int], p: int, right: list[int], q: int,
                     for i, j in prefixes for x in range(p) for y in range(q)]
     # the product cells of one left cell with one right row, made once
     stretches: dict[tuple[int, int], list[int]] = {}
+    out: list[list[int]] = []
     for i, j in prefixes:
         for cell in left[i * p:(i + 1) * p]:
             stretch = stretches.get((cell, j))
             if stretch is None:
                 stretch = stretches[cell, j] = list(
                     map(rows[cell].__getitem__, right[j * q:(j + 1) * q]))
-            out.extend(stretch)
-    return out
+            out.append(stretch)
+    return chain.from_iterable(out)
 
 
 def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
@@ -348,7 +386,9 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
     The carrier is ordered like ``itertools.product`` of the factors'
     carriers.  Tables are folded in from the right, one factor at a time,
     with the product built so far as the right factor of ``_kron_table``:
-    each memoized stretch is then a whole row of that larger product.
+    each memoized stretch is then a whole row of that larger product.  Only
+    the intermediate folds, which the next fold slices by rows, are made
+    lists; the last one streams into the product's constructor.
     """
     if not factors:
         raise ValueError("the product needs at least one factor")
@@ -369,7 +409,9 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
     tables: dict[str, list[int]] = {}
     for op, arity in sig.operators():
         table, size = factors[-1].tables[op], factors[-1].size
-        for f in reversed(factors[:-1]):
+        for folds, f in enumerate(reversed(factors[:-1])):
+            if folds:
+                table = list(table)
             table = _kron_table(f.tables[op], f.size, table, size, arity)
             size *= f.size
         tables[op] = table

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._frozen import Frozen
 from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
@@ -58,6 +58,11 @@ from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into, _check_cap,
                        members, quotient)
 
 Snapshot = tuple[int, ...]
+
+#: Entries kept by each cache of universes, full structures and powers of
+#: the two-element structure.  The eight logics over one to three atoms make
+#: 24 keys, the most that ``verify all`` uses, so neither evicts.
+CACHE_SIZE = 32
 
 BINARY_BA = {AND: BoolAlg.meet, OR: BoolAlg.join, IMP: BoolAlg.imp}
 
@@ -152,7 +157,7 @@ def _universe_size(logic: LogicId, atoms: int) -> int:
     return len(universe(logic, A2)) ** atoms
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def universe(logic: LogicId, algebra: BoolAlg) -> tuple[Snapshot, ...]:
     """The snapshot universe of a logic over a finite Boolean algebra: the
     triples (pairs from mbCciw upward) that its clauses admit, ascending.
@@ -225,7 +230,7 @@ def _check_full_cells(logic: LogicId, algebra: BoolAlg) -> None:
                f"{algebra.atoms} atoms would need", "cells")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     """The logic's universe with every cell as large as the clauses allow:
     the one place that evaluates them (see the module docstring)."""
@@ -266,12 +271,12 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
                     first = opfn(A, z[0], w[0])
                     cells.append(pin(first, clauses.second(A, op, z, w, first)))
             continue
-        # unpinned binary cells depend only on the first coordinates
+        # unpinned binary cells depend only on the first coordinates: one
+        # row per first coordinate, streamed into the constructor row by row
         rows = {a: [first_class[opfn(A, a, b)] for b in firsts]
                 for a in first_class}
-        tables[op] = table = []
-        for a in firsts:
-            table.extend(rows[a])
+        tables[op] = itertools.chain.from_iterable(map(rows.__getitem__,
+                                                       firsts))
     return _structure(logic, A, snaps, tables)
 
 
@@ -285,7 +290,7 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
 
 
 def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
-               tables: dict[str, list[int]]) -> SwapStructure:
+               tables: dict[str, Iterable[int]]) -> SwapStructure:
     """The swap structure on ``snaps`` with the given cell tables, its
     elements labelled by their snapshots."""
     labels = [snapshot_label(algebra, z) for z in snaps]
@@ -431,7 +436,7 @@ class Representation:
         self.product = product
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def power_of_a2(logic: LogicId, n: int) -> MultiAlg:
     """The n-fold product of the full structure over the two-element algebra."""
     prod, _ = ma_product([full_swap(logic, A2).malg] * n)

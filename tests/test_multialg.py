@@ -1,5 +1,7 @@
+import gc
 import random
-from itertools import product
+import tracemalloc
+from itertools import count, product
 
 import pytest
 
@@ -12,7 +14,9 @@ from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
                               is_homomorphism, is_isomorphism,
                               is_multicongruence, is_submultialgebra,
                               ma_product, quotient)
-from swapkit.swap import full_swap, power_of_a2, random_swap_substructure
+from swapkit import swap
+from swapkit.swap import (full_swap, power_of_a2, random_swap_substructure,
+                          universe)
 from helpers import epi_by_separation, malg_from_sets, partition, sets_of
 
 SIG1 = Signature(unary=("f",), binary=("g",))
@@ -67,6 +71,58 @@ def test_cells_must_be_nonempty_and_total():
         MultiAlg(SIG1, ("a", "b"), {"f": [4, 0], "g": [1, 2, 3, 1]})
     with pytest.raises(ValueError, match=r"invalid cell 4 at 'g'\(0, 0\)"):
         MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [4, 1, 0, 1]})
+
+
+def test_streamed_tables_are_read_once_and_bounded():
+    lists = {"f": [2, 3], "g": [1, 2, 3, 1]}
+    streamed = MultiAlg(SIG1, ("a", "b"),
+                        {op: iter(cells) for op, cells in lists.items()})
+    assert streamed == MultiAlg(SIG1, ("a", "b"), lists)
+    # an endless stream is refused after one cell past the table's length
+    counter = count(1)
+    with pytest.raises(ValueError,
+                       match=r"^table for 'f' has more than 2 cells, expected 2$"):
+        MultiAlg(SIG1, ("a", "b"), {"f": counter, "g": [1, 2, 3, 1]})
+    assert next(counter) == 4
+    with pytest.raises(ValueError,
+                       match=r"^table for 'g' has 3 cells, expected 4$"):
+        MultiAlg(SIG1, ("a", "b"),
+                 {"f": [2, 3], "g": (c for c in [1, 2, 3])})
+    with pytest.raises(ValueError,
+                       match=r"^table for 'g' has more than 4 cells, expected 4$"):
+        MultiAlg(SIG1, ("a", "b"),
+                 {"f": [2, 3], "g": (c for c in [1, 2, 3, 1, 2])})
+    # a bad cell in a stream is named as in a list
+    with pytest.raises(ValueError, match=r"invalid cell 4 at 'g'\(1, 0\)"):
+        MultiAlg(SIG1, ("a", "b"),
+                 {"f": [2, 3], "g": (c for c in [1, 2, 4, 1])})
+
+
+def _transient_bytes(build):
+    """Traced bytes a build allocates and frees again: its peak minus what
+    is still allocated when it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built is not None
+    return peak - current
+
+
+def test_big_builds_hold_each_table_in_one_copy():
+    # the 3-atom CPLe+ full structure and the cube of the one over A2 each
+    # keep about 7 MB of tables; a builder that handed each table to the
+    # constructor as a list of its own would free about as much again
+    P3 = powerset_algebra(3)
+    universe(LogicId.CPLE_PLUS, P3)
+    base = full_swap(LogicId.CPLE_PLUS, A2).malg
+    for build in [
+            lambda: swap._full_structure.__wrapped__(LogicId.CPLE_PLUS, P3),
+            lambda: ma_product([base] * 3)]:
+        assert _transient_bytes(build) < 1 << 20
 
 
 def test_flat_tables_and_cell_accessor():

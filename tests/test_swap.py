@@ -10,13 +10,14 @@ from swapkit.logics import CHAIN, LogicId
 from swapkit.multialg import (MultiAlg, is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
                               is_submultialgebra, ma_product, quotient)
-from swapkit.swap import (KalmanAlgebra, SwapStructure, characterize,
-                          closed_subuniverse_restrictions, duality_star,
-                          find_swap_decoding, full_swap, is_swap_for,
-                          kalman_star, kleene_law_failures,
-                          mbc_quotient_counterexample, product_iso,
-                          random_swap_substructure, represent, universe,
-                          validates)
+from swapkit import swap
+from swapkit.swap import (CACHE_SIZE, KalmanAlgebra, SwapStructure,
+                          characterize, closed_subuniverse_restrictions,
+                          duality_star, find_swap_decoding, full_swap,
+                          is_swap_for, kalman_star, kleene_law_failures,
+                          mbc_quotient_counterexample, power_of_a2,
+                          product_iso, random_swap_substructure, represent,
+                          universe, validates)
 from helpers import (all_ba_homs, clause_cell, lattice_from_order,
                      malg_from_sets, rock_paper_scissors, sets_of)
 
@@ -71,6 +72,12 @@ def test_universe_is_every_admitted_tuple_in_ascending_order(atoms):
                 if _admitted_by_clauses(logic, A, z)]
         got = universe(logic, A)
         assert (sorted(got) if atoms == 1 else list(got)) == want, logic
+
+
+def test_swap_caches_share_one_bound_above_every_logic_to_three_atoms():
+    for cached in (universe, swap._full_structure, power_of_a2):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    assert CACHE_SIZE > len(L) * 3
 
 
 def test_universe_counts_snapshots_before_building(monkeypatch):
