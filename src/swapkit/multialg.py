@@ -16,10 +16,10 @@ Equal cells are one interned int per structure, so a cell costs one list
 slot, equality of multialgebras is plain list equality, and memos key on the
 cell value.  A table given to ``MultiAlg`` may be a list or any other
 iterable of cells, such as a stream that its builder never holds whole, so
-that a big structure is held in one copy.  Each table is read in one pass,
-which interns its cells while it makes the structure's own list; a stream is
-read once, and at most one cell past its k**arity.  Only the cells that
-table added are checked, and the first bad cell is named in table order.
+that a big structure is held in one copy.  Each table is read once, in one
+pass that interns its cells while it makes the structure's own list, and at
+most one cell past its k**arity.  Only the cells that table added are
+checked, and the first bad cell is named in table order.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
@@ -169,7 +169,7 @@ def _refuse_length(op: str, count: int | str, expected: int) -> None:
 
 class _Interned(dict):
     """The one object for each distinct cell, across all tables: a cell not
-    yet seen is stored under itself, on lookup or by ``setdefault``."""
+    yet seen is stored under itself on lookup."""
 
     __slots__ = ()
 
@@ -182,9 +182,9 @@ class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator.
 
     Each table may be any iterable of cells in table order.  A sized one,
-    such as a list, must have size**arity cells.  Any other is read once,
-    and at most one cell past size**arity, so that a stream too long or
-    endless is refused.
+    such as a list, must have size**arity cells.  Each is read once, and at
+    most one cell past size**arity, so that a stream too long or endless is
+    refused.
     """
 
     __slots__ = ("signature", "labels", "tables")
@@ -207,18 +207,13 @@ class MultiAlg:
                 raise ValueError(f"missing table for operator {op!r}")
             expected = size ** arity
             known = len(interned)
-            if isinstance(table, Sized):
-                if len(table) != expected:
-                    _refuse_length(op, len(table), expected)
-                # read twice in step, so that setdefault stores a new cell
-                # in C rather than through __missing__
-                cells = list(map(interned.setdefault, table, table))
-            else:
-                cells = list(map(interned.__getitem__,
-                                 islice(table, expected + 1)))
-                if len(cells) != expected:
-                    _refuse_length(op, len(cells) if len(cells) < expected
-                                   else f"more than {expected}", expected)
+            if isinstance(table, Sized) and len(table) != expected:
+                _refuse_length(op, len(table), expected)
+            cells = list(map(interned.__getitem__,
+                             islice(table, expected + 1)))
+            if len(cells) != expected:
+                _refuse_length(op, len(cells) if len(cells) < expected
+                               else f"more than {expected}", expected)
             flat[op] = cells
             if len(interned) > known:
                 _check_added(op, arity, cells,
