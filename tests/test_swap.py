@@ -128,7 +128,6 @@ def test_unbounded_substructure_draws_respect_the_cell_cap(monkeypatch):
     # without max_universe the repair may pick the whole universe, so the
     # full structure's count is checked before any draw: mbC over seven
     # atoms (78125 snapshots) is refused at once
-    monkeypatch.delenv("SWAPKIT_MAX_CELLS", raising=False)
     started = time.perf_counter()
     with pytest.raises(CellCapExceeded, match="would need"):
         random_swap_substructure(random.Random(0), L.MBC, powerset_algebra(7))
@@ -419,6 +418,16 @@ def test_characterize_examples():
     assert not characterize(L.MBC, full_swap(L.CPLE_PLUS, A2))
     assert characterize(L.MBCCI, full_swap(L.CI, A2))
     assert characterize(L.CPLE_PLUS, full_swap(L.CPLE_PLUS, P2))
+
+
+def test_characterization_agrees_with_membership_at_three_atoms():
+    # one atom past criterion 4: every full structure over 8 to 512
+    # snapshots, closed restrictions and random draws of each logic
+    from swapkit.verify import characterization_agreement
+    ok, lines = characterization_agreement(
+        seed=11, atom_counts=(3,), samples_per_logic=50, big_universe_samples=40)
+    assert ok, "\n".join(lines)
+    assert len(lines) == 1 + 2 * len(L)
 
 
 def test_characterize_checks_the_base_class_once_per_candidate(monkeypatch):
