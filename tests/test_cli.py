@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cli_cases import CASES, CLI_PROOFS, PROOFS, check, program
+from cli_cases import CASES, CLI_PROOFS, GOLDEN, PROOFS, check, program
 from cli_cases import name as case_name
 from swapkit import swap
 from swapkit.cli import run
@@ -65,6 +66,26 @@ def test_check_reports_a_wrong_code_or_stdout(invoke):
     assert check(case._replace(code=1), invoke).startswith("exit 0, expected 1")
     assert check(case._replace(stdout="logic: mbC\n"), invoke).startswith(
         "stdout differs")
+
+
+def test_json_goldens():
+    # every JSON golden parses, and a --json case pins it to its command
+    pinned = {case.stdout: case for case in CASES if "--json" in case.argv
+              and case.stdout in set(GOLDEN.glob("*.json"))}
+    assert pinned.keys() == set(GOLDEN.glob("*.json"))
+    for golden, case in sorted(pinned.items()):
+        json.loads(golden.read_text(encoding="utf-8"))
+        assert check(case, in_process) is None, golden.name
+
+
+def test_kalman_json():
+    code, text = capture(["kalman", "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["carrier"] == ["F", "f", "T"]
+    assert payload["negation"]["f"] == "f"
+    assert payload["kleene_failures"] == []
+    assert payload["duality_bijective"] is True
 
 
 def test_the_tab_proof_holds_tabs():
