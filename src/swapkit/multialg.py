@@ -47,6 +47,18 @@ DEFAULT_CELL_CAP = 10 ** 6
 
 
 def cell_cap() -> int:
+    """The largest count a call may build: ``SWAPKIT_MAX_CELLS``, or
+    ``DEFAULT_CELL_CAP`` when it is unset or empty.
+
+    The cap bounds what a call is about to build or visit: a full
+    structure, a product, a universe, the pair carrier, the Kleene triples,
+    or an unbounded draw, which may restrict the whole universe.  A
+    structure the process already holds is returned under any cap, so a
+    test of a threshold starts from empty caches, as a new process does.
+    Reading the cap (about 0.9 us) on every cached lookup was left out: it
+    would cost the benchmark's workloads 1-3% for a case no command line
+    meets.
+    """
     value = os.environ.get("SWAPKIT_MAX_CELLS")
     if not value:
         return DEFAULT_CELL_CAP

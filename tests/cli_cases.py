@@ -92,10 +92,14 @@ CASES = [
     Case(["represent", "mbc", "--atoms", "4"], 0,
          re.compile(r"^homomorphism: True$", re.M),
          {"SWAPKIT_MAX_CELLS": "2000000"}),
-    # 3**5 pairs pass the cap, their 3**15 triples do not; 3**16 pairs do not
+    # 3**5 and 3**12 pairs pass the cap, their triples do not, and are not
+    # built; 3**16 pairs do not
     Case(["kalman", "--atoms", "5"], 2,
          "error: Kleene laws over 5 atoms would visit 14348907 triples, above "
          "the cap 1000000 (set SWAPKIT_MAX_CELLS to raise it)\n"),
+    Case(["kalman", "--atoms", "12"], 2,
+         "error: Kleene laws over 12 atoms would visit 150094635296999121 "
+         "triples, above the cap 1000000 (set SWAPKIT_MAX_CELLS to raise it)\n"),
     Case(["kalman", "--atoms", "16"], 2,
          "error: pair construction over 16 atoms would need 43046721 pairs, "
          "above the cap 1000000 (set SWAPKIT_MAX_CELLS to raise it)\n"),

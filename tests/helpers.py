@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
+import tracemalloc
 from itertools import permutations, product
 
+from swapkit import swap
 from swapkit.boolalg import BaHom, BoolAlg, algebra_atoms, hom_from_atom_map
 from swapkit.formula import (AND, CIRC, IFF, IMP, NEG, OR, Binary, Formula,
                              ParseError, Unary, Var, circ, conj, disj, iff,
@@ -16,6 +19,26 @@ from swapkit.logics import LogicId
 from swapkit.multialg import EquivRel, MultiAlg
 from swapkit.nmatrix import (Bivaluation, Nmatrix, PartialValuation,
                              clause_failures, extended_closure)
+
+
+def empty_structure_caches() -> None:
+    """Start the ``swap`` structure caches empty, as a new process does: a
+    cached structure is returned under any cell cap."""
+    for cached in (swap.universe, swap._full_structure, swap.power_of_a2):
+        cached.cache_clear()
+
+
+def traced(call):
+    """Run ``call()`` under tracemalloc: its result, the peak of the bytes
+    traced while it ran, and the bytes still traced when it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def malg_from_sets(signature, labels, cells) -> MultiAlg:

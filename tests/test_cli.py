@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from cli_cases import CASES, CLI_PROOFS, GOLDEN, PROOFS, check, program
 from cli_cases import name as case_name
-from swapkit import swap
 from swapkit.cli import run
 from swapkit.formula import to_text
+from helpers import empty_structure_caches, traced
 from test_formula import FORMULAS, PARSER_TOKENS
 
 
@@ -23,12 +23,9 @@ def capture(argv):
 
 
 def in_process(argv, env):
-    """Run ``cli.run`` under ``env`` alone, capturing stdout and stderr.
-
-    The structure caches start empty, as in a new process: a cached
-    structure is returned before the cell cap is read."""
-    for cached in (swap.universe, swap._full_structure, swap.power_of_a2):
-        cached.cache_clear()
+    """Run ``cli.run`` under ``env`` alone, capturing stdout and stderr,
+    from empty structure caches as in a new process."""
+    empty_structure_caches()
     saved = dict(os.environ)
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -45,6 +42,18 @@ def in_process(argv, env):
 @pytest.mark.parametrize("case", CASES, ids=case_name)
 def test_cli_case(case):
     assert check(case, in_process) is None
+
+
+#: The cases refused by the cell cap: each refuses before it builds, far
+#: below what building would take (about 100 MB for ``kalman --atoms 12``)
+CAPPED = [case for case in CASES
+          if case.code == 2 and "SWAPKIT_MAX_CELLS" in str(case.stdout)]
+
+
+@pytest.mark.parametrize("case", CAPPED, ids=case_name)
+def test_cell_cap_refusals_build_nothing(case):
+    problem, peak, _ = traced(lambda: check(case, in_process))
+    assert problem is None and peak < 2 << 20
 
 
 #: The cases run again as new processes: each one with its own environment
@@ -178,21 +187,6 @@ def test_fuzzed_commands_exit_0_1_or_2_with_one_line_errors(
     assert "Traceback" not in text + stdout + stderr
     if "error:" in text:
         assert text.startswith("error: ") and text.count("\n") == 1, text
-
-
-def test_kalman_refuses_triples_before_building_pairs(monkeypatch):
-    # 3**12 = 531441 pairs pass the cap; their triples do not
-    from swapkit.swap import KalmanAlgebra
-
-    def refuse(self, algebra):
-        raise AssertionError("pair carrier built")
-
-    monkeypatch.setattr(KalmanAlgebra, "__init__", refuse)
-    code, text = capture(["kalman", "--atoms", "12"])
-    assert code == 2
-    assert text == ("error: Kleene laws over 12 atoms would visit "
-                    "150094635296999121 triples, above the cap 1000000 (set "
-                    "SWAPKIT_MAX_CELLS to raise it)\n")
 
 
 def test_verify_suite_names_match_the_suites():

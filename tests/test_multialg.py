@@ -1,6 +1,4 @@
-import gc
 import random
-import tracemalloc
 from itertools import count, product
 
 import pytest
@@ -8,16 +6,16 @@ import pytest
 from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
-from swapkit.multialg import (CellCapExceeded, EquivRel, MaMap, MultiAlg,
-                              SignatureMismatch, _pulled, _restricted_tables,
-                              cell_cap, compose_maps, is_full_homomorphism,
-                              is_homomorphism, is_isomorphism,
-                              is_multicongruence, is_submultialgebra,
-                              ma_product, quotient)
+from swapkit.multialg import (EquivRel, MaMap, MultiAlg, SignatureMismatch,
+                              _pulled, _restricted_tables, compose_maps,
+                              is_full_homomorphism, is_homomorphism,
+                              is_isomorphism, is_multicongruence,
+                              is_submultialgebra, ma_product, quotient)
 from swapkit import swap
 from swapkit.swap import (full_swap, power_of_a2, random_swap_substructure,
                           universe)
-from helpers import epi_by_separation, malg_from_sets, partition, sets_of
+from helpers import (epi_by_separation, malg_from_sets, partition, sets_of,
+                     traced)
 
 SIG1 = Signature(unary=("f",), binary=("g",))
 
@@ -98,20 +96,6 @@ def test_streamed_tables_are_read_once_and_bounded():
                  {"f": [2, 3], "g": (c for c in [1, 2, 4, 1])})
 
 
-def _transient_bytes(build):
-    """Traced bytes a build allocates and frees again: its peak minus what
-    is still allocated when it returns."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        built = build()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert built is not None
-    return peak - current
-
-
 def test_big_builds_hold_each_table_in_one_copy():
     # the 3-atom CPLe+ full structure and the cube of the one over A2 each
     # keep about 7 MB of tables; a builder that handed each table to the
@@ -122,7 +106,9 @@ def test_big_builds_hold_each_table_in_one_copy():
     for build in [
             lambda: swap._full_structure.__wrapped__(LogicId.CPLE_PLUS, P3),
             lambda: ma_product([base] * 3)]:
-        assert _transient_bytes(build) < 1 << 20
+        built, peak, held = traced(build)
+        # the bytes allocated and freed again
+        assert built is not None and peak - held < 1 << 20
 
 
 def test_flat_tables_and_cell_accessor():
@@ -378,28 +364,6 @@ def test_ma_product_pairing_property():
         assert is_homomorphism(tupled)
         for proj, g in ((projs[0], g0), (projs[1], g1)):
             assert compose_maps(proj, tupled).mapping == g.mapping
-
-
-def test_ma_product_cap(monkeypatch):
-    m = m5()
-    monkeypatch.setenv("SWAPKIT_MAX_CELLS", str(10 ** 4))
-    with pytest.raises(CellCapExceeded):
-        ma_product([m] * 8)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_cell_cap_rejects_malformed_environment(monkeypatch, value):
-    monkeypatch.setenv("SWAPKIT_MAX_CELLS", value)
-    with pytest.raises(ValueError, match="SWAPKIT_MAX_CELLS must be a "
-                                         "positive integer"):
-        cell_cap()
-
-
-def test_cell_cap_reads_environment(monkeypatch):
-    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "1234")
-    assert cell_cap() == 1234
-    monkeypatch.delenv("SWAPKIT_MAX_CELLS")
-    assert cell_cap() == 10 ** 6
 
 
 def test_multicongruence_identity_and_counterexample_partition():
