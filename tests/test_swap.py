@@ -19,7 +19,7 @@ from swapkit.swap import (CACHE_SIZE, KalmanAlgebra, SwapStructure,
                           product_iso, random_swap_substructure, represent,
                           universe, validates)
 from helpers import (all_ba_homs, clause_cell, lattice_from_order,
-                     rock_paper_scissors)
+                     malg_from_sets, rock_paper_scissors, sets_of)
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -360,8 +360,6 @@ def test_characterization_agrees_with_membership_at_three_atoms():
         seed=11, atom_counts=(3,), samples_per_logic=50, big_universe_samples=40)
     assert ok, "\n".join(lines)
     assert len(lines) == 1 + 2 * len(L)
-    P3 = powerset_algebra(3)
-    assert all(is_swap_for(logic, full_swap(logic, P3)) for logic in L)
 
 
 def test_characterize_checks_the_base_class_once_per_candidate(monkeypatch):
@@ -402,6 +400,30 @@ def test_characterize_memo_is_order_free_and_per_structure():
     assert characterize(L.CIORE, full_swap(L.CIORE, A2))
     assert not characterize(L.CIORE, full_swap(L.MBC, A2))
     assert characterize(L.CIORE, full_swap(L.CIORE, A2))
+
+
+def test_characterize_agreement_under_single_cell_mutations():
+    # perturb one cell of a full structure (shrink it, or splice in another
+    # carrier element) and check the structural and axiomatic membership
+    # tests still move together for every logic
+    rng = random.Random(9)
+    for logic_src in (L.MBC, L.MBCCIW, L.MBCCI, L.CI, L.LFI1O, L.CIORE):
+        full = full_swap(logic_src, A2)
+        for _ in range(30):
+            tables = sets_of(full.malg)
+            op = rng.choice(["&", "|", "->", "~", "@"])
+            args = rng.choice(list(tables[op]))
+            cell = set(tables[op][args])
+            if rng.random() < 0.5 and len(cell) > 1:
+                cell.remove(rng.choice(sorted(cell)))
+            else:
+                cell.add(rng.randrange(full.malg.size))
+            tables[op][args] = tuple(sorted(cell))
+            malg = malg_from_sets(LOGIC_SIGNATURE, full.malg.labels, tables)
+            cand = SwapStructure(logic_src, A2, malg, full.snapshots)
+            for logic in L:
+                assert characterize(logic, cand) == is_swap_for(logic, cand), \
+                    (logic_src, op, args, tables[op][args], logic)
 
 
 # ----------------------------------------------------------------------
@@ -547,6 +569,16 @@ def test_kalman_carrier_is_every_disjoint_pair_in_layer_order():
         assert KalmanAlgebra(A).carrier == tuple(want)
 
 
+def test_kleene_law_failures_respects_the_cell_cap(monkeypatch):
+    from swapkit.multialg import CellCapExceeded
+    K = KalmanAlgebra(P2)  # 9 pairs, 729 triples
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "728")
+    with pytest.raises(CellCapExceeded, match="would visit 729 triples"):
+        kleene_law_failures(K)
+    monkeypatch.setenv("SWAPKIT_MAX_CELLS", "729")
+    assert kleene_law_failures(K) == []
+
+
 def _by_position(op):
     """A pair-algebra operation that acts as op on carrier positions."""
     return lambda self, z, w: self.carrier[op(self.index_of[z],
@@ -632,6 +664,16 @@ def test_cple_full_structures_are_boolean_algebras():
             assert first[u] == A.comp(first[i])
             (u,) = b.malg.cell("@", (i,))
             assert first[u] == A.top
+
+
+def test_characterize_agreement_on_full_structures_three_atoms():
+    A3 = powerset_algebra(3)
+    for src in L:
+        cand = full_swap(src, A3)
+        assert is_swap_for(src, cand)
+        for logic in L:
+            assert characterize(logic, cand) == is_swap_for(logic, cand), \
+                (src, logic)
 
 
 # ----------------------------------------------------------------------
