@@ -14,12 +14,17 @@ constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
 cell is an int whose bit u is set when carrier element u belongs to it.
 Equal cells are one interned int per structure, so a cell costs one list
 slot, equality of multialgebras is plain list equality, and memos key on the
-cell value.  A table given to ``MultiAlg`` may be a list or any other
-iterable of cells, such as a stream that its builder never holds whole, so
-that a big structure is held in one copy.  Each table is read once, in one
-pass that interns its cells while it makes the structure's own list, and at
-most one cell past its k**arity.  Only the cells that table added are
-checked, and the first bad cell is named in table order.
+cell value.  A table given to ``MultiAlg`` may be a list, any other iterable
+of cells, or ``_Rows``: a list of rows whose concatenation is the table.
+Full structures and products repeat a few rows many times, so their
+builders hand each big table over as ``_Rows`` in which a repeated row is
+one object; they never hold the table whole, and a big structure is held
+in one copy.  Each table is read once, a row at a time, into the
+structure's own list: a row object's cells are interned the first time it
+comes and copied from that list each time it comes back.  Any other
+iterable is one row, read at most one cell past its k**arity.  Only the
+cells that table added are checked, and the first bad cell is named in
+table order.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
@@ -29,7 +34,7 @@ Whole-table passes run a row at a time in C.  ``_pulled`` reads a table at
 the image of every argument tuple under a carrier map with one row slice and
 one ``operator.itemgetter`` call per argument prefix; homomorphism checks
 compare the list of cell images with the pulled list as whole lists, and
-products chain each row from memoized stretches of product cells.
+products list each row of a table as memoized stretches of product cells.
 """
 
 from __future__ import annotations
@@ -190,13 +195,33 @@ class _Interned(dict):
         return cell
 
 
+class _Rows:
+    """A table as a list of rows whose concatenation is the table.  One row
+    object may stand at many places, and ``MultiAlg`` interns its cells
+    once.  Sized and iterable cell by cell, like the flat table."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[Sequence[int]]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows))
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.rows)
+
+
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator.
 
-    Each table may be any iterable of cells in table order.  A sized one,
-    such as a list, must have size**arity cells.  Each is read once, and at
-    most one cell past size**arity, so that a stream too long or endless is
-    refused.
+    Each table may be any iterable of cells in table order, or ``_Rows``.
+    A sized one, such as a list or ``_Rows``, must have size**arity cells,
+    checked before any cell is read.  Each is read once, a row at a time:
+    the cells of a row object are interned the first time it comes and
+    copied from the table after that.  Any other iterable is one row, read
+    at most one cell past size**arity, so that a stream too long or endless
+    is refused.
     """
 
     __slots__ = ("signature", "labels", "tables")
@@ -221,8 +246,19 @@ class MultiAlg:
             known = len(interned)
             if isinstance(table, Sized) and len(table) != expected:
                 _refuse_length(op, len(table), expected)
-            cells = list(map(interned.__getitem__,
-                             islice(table, expected + 1)))
+            rows = (table.rows if isinstance(table, _Rows)
+                    else [islice(table, expected + 1)])
+            #: id of a row object read -> where its interned cells sit
+            read: dict[int, slice] = {}
+            cells: list[int] = []
+            for row in rows:
+                seen = read.get(id(row))
+                if seen is None:
+                    start = len(cells)
+                    cells += map(interned.__getitem__, row)
+                    read[id(row)] = slice(start, len(cells))
+                else:
+                    cells += cells[seen]
             if len(cells) != expected:
                 _refuse_length(op, len(cells) if len(cells) < expected
                                else f"more than {expected}", expected)
@@ -358,11 +394,13 @@ class _KronRow(dict):
 
 
 def _kron_table(left: list[int], p: int, right: list[int], q: int,
-                arity: int) -> Iterable[int]:
+                arity: int) -> list[int] | _Rows:
     """One operator's table on the product of a p- and a q-element carrier,
-    whose element (x, y) has index x*q + y, as a stream to be read once.
+    whose element (x, y) has index x*q + y: ``_Rows``, or for a constant
+    its one cell in a list.
 
-    The stream chains references to memoized stretches, so the table is
+    Each row is a memoized stretch, the product cells of one left cell with
+    one right row, and stands wherever that pair comes back, so the table is
     never held whole; a caller that slices it by rows makes it a list.
     """
     rows = {a: _KronRow(a, q) for a in set(left)}
@@ -383,7 +421,7 @@ def _kron_table(left: list[int], p: int, right: list[int], q: int,
                 stretch = stretches[cell, j] = list(
                     map(rows[cell].__getitem__, right[j * q:(j + 1) * q]))
             out.append(stretch)
-    return chain.from_iterable(out)
+    return _Rows(out)
 
 
 def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
@@ -395,7 +433,8 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
     with the product built so far as the right factor of ``_kron_table``:
     each memoized stretch is then a whole row of that larger product.  Only
     the intermediate folds, which the next fold slices by rows, are made
-    lists; the last one streams into the product's constructor.
+    lists; the last one goes to the product's constructor as ``_Rows``,
+    which interns each distinct stretch once.
     """
     if not factors:
         raise ValueError("the product needs at least one factor")
@@ -413,7 +452,7 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
 
     labels = ["(" + ",".join(parts) + ")"
               for parts in iproduct(*[f.labels for f in factors])]
-    tables: dict[str, list[int]] = {}
+    tables: dict[str, list[int] | _Rows] = {}
     for op, arity in sig.operators():
         table, size = factors[-1].tables[op], factors[-1].size
         for folds, f in enumerate(reversed(factors[:-1])):

@@ -54,8 +54,8 @@ from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .logics import LogicId
 from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into, _check_cap,
-                       _Images, _restricted_tables, ma_product, mask_of,
-                       members, quotient)
+                       _Images, _restricted_tables, _Rows, ma_product,
+                       mask_of, members, quotient)
 
 Snapshot = tuple[int, ...]
 
@@ -272,11 +272,11 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
                     cells.append(pin(first, clauses.second(A, op, z, w, first)))
             continue
         # unpinned binary cells depend only on the first coordinates: one
-        # row per first coordinate, streamed into the constructor row by row
+        # row object per first coordinate, at the row of every snapshot
+        # with that first coordinate, so the constructor interns it once
         rows = {a: [first_class[opfn(A, a, b)] for b in firsts]
                 for a in first_class}
-        tables[op] = itertools.chain.from_iterable(map(rows.__getitem__,
-                                                       firsts))
+        tables[op] = _Rows(list(map(rows.__getitem__, firsts)))
     return _structure(logic, A, snaps, tables)
 
 

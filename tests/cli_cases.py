@@ -88,7 +88,7 @@ CASES = [
     Case(["represent", "mbc", "--atoms", "2"], 2,
          "error: SWAPKIT_MAX_CELLS must be a positive integer, got 'abc'\n",
          {"SWAPKIT_MAX_CELLS": "abc"}),
-    # above the default cap: 1.17M cells, each table streamed into one copy
+    # above the default cap: 1.17M cells, each table read from rows into one copy
     Case(["represent", "mbc", "--atoms", "4"], 0,
          re.compile(r"^homomorphism: True$", re.M),
          {"SWAPKIT_MAX_CELLS": "2000000"}),

@@ -6,8 +6,9 @@ import pytest
 from swapkit.boolalg import A2, powerset_algebra
 from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
+from swapkit import multialg
 from swapkit.multialg import (EquivRel, MaMap, MultiAlg, SignatureMismatch,
-                              _pulled, _restricted_tables, compose_maps,
+                              _pulled, _restricted_tables, _Rows, compose_maps,
                               is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
                               is_submultialgebra, ma_product, quotient)
@@ -94,6 +95,95 @@ def test_streamed_tables_are_read_once_and_bounded():
     with pytest.raises(ValueError, match=r"invalid cell 4 at 'g'\(1, 0\)"):
         MultiAlg(SIG1, ("a", "b"),
                  {"f": [2, 3], "g": (c for c in [1, 2, 4, 1])})
+
+
+class CountedRow(list):
+    """A row that counts how often it is iterated."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.iterated = 0
+
+    def __iter__(self):
+        self.iterated += 1
+        return super().__iter__()
+
+
+def test_row_tables_read_like_flat_tables():
+    flat = [1, 2, 3, 1]
+    for g in [_Rows([[1, 2], [3, 1]]), flat, iter(flat)]:
+        assert MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": g}) == \
+            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": flat})
+    rows = _Rows([[1, 2], [3, 1]])
+    assert len(rows) == 4 and list(rows) == flat
+
+
+def test_a_repeated_row_is_read_once():
+    row, other = CountedRow([1, 3, 2]), CountedRow([2, 2, 1])
+    m = MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
+                 {"g": _Rows([row, other, row])})
+    assert m.tables["g"] == [1, 3, 2, 2, 2, 1, 1, 3, 2]
+    assert (row.iterated, other.iterated) == (1, 1)
+
+
+def test_a_bad_cell_in_a_repeated_row_is_named_at_its_first_place():
+    row = [1, 4]
+    with pytest.raises(ValueError, match=r"^invalid cell 4 at 'g'\(0, 1\)$"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": _Rows([row, row])})
+    bad = [1, 0, 2]
+    with pytest.raises(ValueError, match=r"^empty cell 0 at 'g'\(1, 1\)$"):
+        MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
+                 {"g": _Rows([[1, 2, 4], bad, bad])})
+
+
+def test_a_streamed_table_goes_into_the_structure_without_a_copy():
+    # a plain iterable is read as one row, straight into the table's list:
+    # 65,536 cells take 512 KiB, which a copy would allocate again
+    labels = [f"x{i}" for i in range(256)]
+    cells = [1 << 255] * (256 * 256)
+    built, peak, held = traced(lambda: MultiAlg(
+        Signature(binary=("g",)), labels, {"g": iter(cells)}))
+    assert len(built.tables["g"]) == len(cells) and peak - held < 1 << 17
+
+
+def test_row_tables_of_the_wrong_length_are_refused_before_reading():
+    row = CountedRow([1, 2])
+    for rows, count in [([row, row, row], 6), ([row], 2)]:
+        with pytest.raises(ValueError,
+                           match=rf"^table for 'g' has {count} cells, "
+                                 r"expected 4$"):
+            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": _Rows(rows)})
+    assert row.iterated == 0
+
+
+def test_builders_hand_big_tables_over_as_rows(monkeypatch):
+    """The unpinned binary tables of a full structure and every table of a
+    product of two or more factors reach ``MultiAlg`` as ``_Rows``, so each
+    distinct row is interned once."""
+    handed = []
+
+    class Recording(MultiAlg):
+        __slots__ = ()
+
+        def __init__(self, signature, labels, tables):
+            handed.append(tables)
+            super().__init__(signature, labels, tables)
+
+    monkeypatch.setattr(multialg, "MultiAlg", Recording)
+    monkeypatch.setattr(swap, "MultiAlg", Recording)
+    for logic in LogicId:
+        handed.clear()
+        swap._full_structure.__wrapped__(logic, A2)
+        (tables,) = handed
+        pinned = swap._CLAUSES[logic].second is not None
+        for op in LOGIC_SIGNATURE.binary:
+            assert isinstance(tables[op], _Rows) != pinned, (logic, op)
+    base = m5()
+    for factors in [[base, base], [base, base, base]]:
+        handed.clear()
+        ma_product(factors)
+        (tables,) = handed
+        assert all(isinstance(table, _Rows) for table in tables.values())
 
 
 def test_big_builds_hold_each_table_in_one_copy():
