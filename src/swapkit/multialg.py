@@ -14,17 +14,16 @@ constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
 cell is an int whose bit u is set when carrier element u belongs to it.
 Equal cells are one interned int per structure, so a cell costs one list
 slot, equality of multialgebras is plain list equality, and memos key on the
-cell value.  A table given to ``MultiAlg`` may be a list, any other iterable
-of cells, or ``_Rows``: a list of rows whose concatenation is the table.
-Full structures and products repeat a few rows many times, so their
-builders hand each big table over as ``_Rows`` in which a repeated row is
-one object; they never hold the table whole, and a big structure is held
-in one copy.  Each table is read once, a row at a time, into the
-structure's own list: a row object's cells are interned the first time it
-comes and copied from that list each time it comes back.  Any other
-iterable is one row, read at most one cell past its k**arity.  Only the
-cells that table added are checked, and the first bad cell is named in
-table order.
+cell value.  A table given to ``MultiAlg`` is a sequence of cells, such as
+a list, or ``_Rows``: a list of rows whose concatenation is the table.  Its
+length is checked before any cell is read.  Full structures and products
+repeat a few rows many times, so their builders hand each big table over as
+``_Rows`` in which a repeated row is one object; they never hold the table
+whole, and a big structure is held in one copy.  Each table is read once, a
+row at a time, into the structure's own list: a row object's cells are
+interned the first time it comes and copied from that list each time it
+comes back.  A sequence is one row.  Only the cells that table added are
+checked, and the first bad cell is named in table order.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
@@ -40,7 +39,6 @@ products list each row of a table as memoized stretches of product cells.
 from __future__ import annotations
 
 import os
-from collections.abc import Sized
 from itertools import chain, islice, product as iproduct
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -166,11 +164,13 @@ class _Images(dict):
         return img
 
 
-def _check_added(op: str, arity: int, cells: list, added: list,
-                 size: int) -> None:
-    """Refuse a table unless the cells it added are all ints with a member
-    and none at or above ``size``.  Only a refused table is walked cell by
-    cell, so that the error names its first bad cell in table order."""
+def _check_added(op: str, arity: int, cells: list, interned: dict,
+                 known: int, size: int) -> None:
+    """Refuse a table unless the cells it added to ``interned``, those past
+    the first ``known``, are all ints with a member and none at or above
+    ``size``.  Only a refused table is walked cell by cell, so that the
+    error names its first bad cell in table order."""
+    added = list(islice(interned, known, None))
     if (all(issubclass(t, int) for t in set(map(type, added)))
             and min(added) > 0 and max(added) >> size == 0):
         return
@@ -178,10 +178,6 @@ def _check_added(op: str, arity: int, cells: list, added: list,
         if not isinstance(cell, int) or cell <= 0 or cell >> size:
             what = "empty" if cell == 0 else "invalid"
             raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
-
-
-def _refuse_length(op: str, count: int | str, expected: int) -> None:
-    raise ValueError(f"table for {op!r} has {count} cells, expected {expected}")
 
 
 class _Interned(dict):
@@ -215,19 +211,16 @@ class _Rows:
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator.
 
-    Each table may be any iterable of cells in table order, or ``_Rows``.
-    A sized one, such as a list or ``_Rows``, must have size**arity cells,
-    checked before any cell is read.  Each is read once, a row at a time:
-    the cells of a row object are interned the first time it comes and
-    copied from the table after that.  Any other iterable is one row, read
-    at most one cell past size**arity, so that a stream too long or endless
-    is refused.
+    Each table is a sequence of cells in table order, or ``_Rows``, with
+    size**arity cells, checked before any cell is read.  Each is read once,
+    a row at a time: the cells of a row object are interned the first time
+    it comes and copied from the table after that.  A sequence is one row.
     """
 
     __slots__ = ("signature", "labels", "tables")
 
     def __init__(self, signature: Signature, labels: Sequence[str],
-                 tables: dict[str, Iterable[int]]):
+                 tables: dict[str, Sequence[int] | _Rows]):
         self.signature = signature
         self.labels = tuple(labels)
         size = len(self.labels)
@@ -243,11 +236,11 @@ class MultiAlg:
             if table is None:
                 raise ValueError(f"missing table for operator {op!r}")
             expected = size ** arity
+            if len(table) != expected:
+                raise ValueError(f"table for {op!r} has {len(table)} cells, "
+                                 f"expected {expected}")
             known = len(interned)
-            if isinstance(table, Sized) and len(table) != expected:
-                _refuse_length(op, len(table), expected)
-            rows = (table.rows if isinstance(table, _Rows)
-                    else [islice(table, expected + 1)])
+            rows = table.rows if isinstance(table, _Rows) else [table]
             #: id of a row object read -> where its interned cells sit
             read: dict[int, slice] = {}
             cells: list[int] = []
@@ -259,13 +252,9 @@ class MultiAlg:
                     read[id(row)] = slice(start, len(cells))
                 else:
                     cells += cells[seen]
-            if len(cells) != expected:
-                _refuse_length(op, len(cells) if len(cells) < expected
-                               else f"more than {expected}", expected)
             flat[op] = cells
             if len(interned) > known:
-                _check_added(op, arity, cells,
-                             list(islice(interned, known, None)), size)
+                _check_added(op, arity, cells, interned, known, size)
         self.tables = flat
 
     @property

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._frozen import Frozen
 from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
@@ -129,14 +129,13 @@ _CLAUSES = {
                             second=_ciore_second),
 }
 
+#: the display names over A2, in display order: a universe over A2 lists
+#: its snapshots in this order
 _NAMED_A2 = {
     (1, 0, 1): "T", (1, 1, 0): "t", (1, 0, 0): "t0",
     (0, 1, 1): "F", (0, 1, 0): "f0",
     (1, 0): "T", (1, 1): "t", (0, 1): "F",
 }
-
-_A2_ORDER_TRIPLES = ((1, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 1), (0, 1, 0))
-_A2_ORDER_PAIRS = ((1, 0), (1, 1), (0, 1))
 
 
 def z3_view(algebra: BoolAlg, z: Snapshot) -> int:
@@ -173,8 +172,7 @@ def universe(logic: LogicId, algebra: BoolAlg) -> tuple[Snapshot, ...]:
         admits = _CLAUSES[logic].universe
         snaps = [z for z in itertools.product(A.elements(), repeat=width)
                  if admits(A, z[0], z[1], z3_view(A, z))]
-        order = _A2_ORDER_PAIRS if logic.pair_mode else _A2_ORDER_TRIPLES
-        named = [z for z in order if z in snaps]
+        named = [z for z in _NAMED_A2 if z in snaps]
         return tuple(named if len(named) == len(snaps) else snaps)
     _check_cap(_universe_size(logic, A.atoms),
                f"{logic.display} universe over {A.atoms} atoms would need",
@@ -208,10 +206,6 @@ class SwapStructure:
         self._nmatrix = None
         self._in_base = None
         self._validity = None
-
-    @property
-    def pair_mode(self) -> bool:
-        return len(self.snapshots[0]) == 2
 
     @property
     def designated(self) -> tuple[int, ...]:
@@ -290,7 +284,7 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
 
 
 def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
-               tables: dict[str, Iterable[int]]) -> SwapStructure:
+               tables: dict[str, Sequence[int] | _Rows]) -> SwapStructure:
     """The swap structure on ``snaps`` with the given cell tables, its
     elements labelled by their snapshots."""
     labels = [snapshot_label(algebra, z) for z in snaps]

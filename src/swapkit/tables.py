@@ -40,7 +40,7 @@ def _grid_line(texts: list[str], widths: list[int]) -> str:
 def render_tables(structure: SwapStructure) -> str:
     labels = structure.malg.labels
     k = structure.malg.size
-    block = not structure.pair_mode and structure.algebra.atoms == 1
+    block = not structure.logic.pair_mode and structure.algebra.atoms == 1
     bare = all(cell & (cell - 1) == 0
                for table in structure.malg.tables.values()
                for cell in set(table))
