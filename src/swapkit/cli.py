@@ -18,7 +18,7 @@ from .boolalg import powerset_algebra
 from .formula import parse, to_text
 from .logics import LogicId, parse_logic
 from .multialg import (arg_tuples, is_full_homomorphism, is_homomorphism,
-                       is_multicongruence)
+                       is_multicongruence, table_cells)
 from .nmatrix import decide_logic
 from .swap import (KalmanAlgebra, _check_kleene_triples, duality_star,
                    find_swap_decoding, full_swap, kleene_law_failures,
@@ -234,7 +234,8 @@ def _cmd_quotient_demo(args, out) -> int:
     blocks = [" ".join(labels[x] for x in block) for block in theta.blocks()]
     congruent = is_multicongruence(theta, m5.malg)
     cells_trivial = all(cell == 0b11
-                        for table in quot.tables.values() for cell in table)
+                        for op, arity in quot.signature.operators()
+                        for cell in table_cells(quot.tables[op], arity))
     full_hom = is_full_homomorphism(proj)
     decoding = find_swap_decoding(LogicId.MBC, quot, m5.algebra)
     escaped = decoding is None

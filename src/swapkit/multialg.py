@@ -7,33 +7,38 @@ contained in the corresponding target cell, and a full homomorphism when the
 two are equal.  At finite scale, isomorphisms are the bijective full
 homomorphisms.
 
-Tables are flat and cells are bitmasks.  Over a carrier of k elements,
-``tables[op]`` is one row-major list of k**arity cells: a binary operator's
-cell at (i, j) sits at position i*k + j, a unary one's at (i,) at i and a
-constant's at 0 (``arg_tuples`` lists the argument tuples in that order).  A
-cell is an int whose bit u is set when carrier element u belongs to it.
-Equal cells are one interned int per structure, so a cell costs one list
-slot, equality of multialgebras is plain list equality, and memos key on the
-cell value.  A table given to ``MultiAlg`` is a sequence of cells, such as
-a list, or ``_Rows``: a list of rows whose concatenation is the table.  Its
-length is checked before any cell is read.  Full structures and products
-repeat a few rows many times, so their builders hand each big table over as
-``_Rows`` in which a repeated row is one object; they never hold the table
-whole, and a big structure is held in one copy.  Each table is read once, a
-row at a time, into the structure's own list: a row object's cells are
-interned the first time it comes and copied from that list each time it
-comes back.  A sequence is one row.  Only the cells that table added are
-checked, and the first bad cell is named in table order.
+Tables are rows and cells are bitmasks.  Over a carrier of k elements, a
+constant's table is a one-cell row ``[cell]``, a unary operator's is one row
+of k cells, the one at (i,) sitting at i, and a binary operator's is a list
+of k row references, the cell at (i, j) sitting at ``tables[op][i][j]``
+(``table_cells`` runs them together in table order, the order of
+``arg_tuples``).  A cell is an int whose bit u is set when carrier element u
+belongs to it.  Equal cells are one interned int per structure, and equal
+rows are one list, so a binary table costs k row slots plus its distinct
+rows, equality of multialgebras is plain list equality, and memos key on the
+cell value or on the row object.  In every unpinned swap structure a binary
+cell depends only on first coordinates, so its table has as many distinct
+rows as the Boolean algebra has elements: 8 of 512 for the 3-atom CPLe+
+structure.
+
+``MultiAlg`` takes a binary table as k rows, in which one row object may
+stand at many places, or as one flat sequence of k*k cells, which it cuts
+into rows.  Lengths are checked before any cell is read.  Each row object is
+read once: its cells are interned, and it becomes the structure's one row
+with those cells.  Only the cells a table added are checked, and the first
+bad cell is named in table order.  ``cell_count`` counts logical cells,
+k**arity per table, whatever the rows share.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 ``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
 ``mask_of`` convert either way.
 
-Whole-table passes run a row at a time in C.  ``_pulled`` reads a table at
-the image of every argument tuple under a carrier map with one row slice and
-one ``operator.itemgetter`` call per argument prefix; homomorphism checks
-compare the list of cell images with the pulled list as whole lists, and
-products list each row of a table as memoized stretches of product cells.
+Whole-table passes run a row at a time in C.  A homomorphism check reads the
+target row at the image of each source row's argument with one
+``operator.itemgetter`` call at the mapped columns, compares it with the
+images of the source row's cells as whole tuples, and checks each pair of
+(source row, target row) objects once; products list each product row once
+per pair of factor rows.
 """
 
 from __future__ import annotations
@@ -115,36 +120,19 @@ def arg_tuples(size: int, arity: int) -> Iterator[tuple[int, ...]]:
     return iproduct(range(size), repeat=arity)
 
 
-def _mapped_positions(mapping: Sequence[int], arity: int,
-                      size: int) -> list[int]:
-    """For each argument tuple of the map's source, in table order, the table
-    position of its image in a table over ``size`` elements."""
-    positions = [0]
-    for _ in range(arity):
-        positions = [p * size + m for p in positions for m in mapping]
-    return positions
+def table_cells(table: list, arity: int) -> Iterable[int]:
+    """A stored table's cells in table order: a binary table's rows run
+    together."""
+    return chain.from_iterable(table) if arity == 2 else table
 
 
-def _pulled(table: Sequence[int], mapping: Sequence[int], arity: int,
-            size: int) -> list[int]:
-    """The cells of a table over ``size`` elements at the image of each
-    argument tuple of the map's source, in the source's table order.
-
-    Each prefix of all arguments but the last picks one row of the table;
-    one ``itemgetter`` call reads the whole row at the mapped positions.
-    """
-    if arity == 0:
-        return [table[0]]
-    if len(mapping) > 1:
-        pull = itemgetter(*mapping)
-    elif mapping:  # itemgetter of one index gives a bare item, not a tuple
-        pull = itemgetter(slice(mapping[0], mapping[0] + 1))
-    else:  # and itemgetter of none raises
-        return []
-    out: list[int] = []
-    for row in _mapped_positions(mapping, arity - 1, size):
-        out.extend(pull(table[row * size:(row + 1) * size]))
-    return out
+def _getter(indices: Sequence[int]):
+    """``operator.itemgetter`` of the indices, giving a tuple for any count
+    (itemgetter of one index gives a bare item, and of none raises)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices) if indices else lambda row: ()
 
 
 class _Images(dict):
@@ -164,7 +152,7 @@ class _Images(dict):
         return img
 
 
-def _check_added(op: str, arity: int, cells: list, interned: dict,
+def _check_added(op: str, arity: int, table: list, interned: dict,
                  known: int, size: int) -> None:
     """Refuse a table unless the cells it added to ``interned``, those past
     the first ``known``, are all ints with a member and none at or above
@@ -174,7 +162,7 @@ def _check_added(op: str, arity: int, cells: list, interned: dict,
     if (all(issubclass(t, int) for t in set(map(type, added)))
             and min(added) > 0 and max(added) >> size == 0):
         return
-    for at, cell in zip(arg_tuples(size, arity), cells):
+    for at, cell in zip(arg_tuples(size, arity), table_cells(table, arity)):
         if not isinstance(cell, int) or cell <= 0 or cell >> size:
             what = "empty" if cell == 0 else "invalid"
             raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
@@ -191,36 +179,40 @@ class _Interned(dict):
         return cell
 
 
-class _Rows:
-    """A table as a list of rows whose concatenation is the table.  One row
-    object may stand at many places, and ``MultiAlg`` interns its cells
-    once.  Sized and iterable cell by cell, like the flat table."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[Sequence[int]]):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return sum(map(len, self.rows))
-
-    def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(self.rows)
+def _rows_of(op: str, table: Sequence, size: int) -> Sequence[Sequence[int]]:
+    """A binary table's rows: the table itself when its items are lists,
+    else its flat sequence of size*size cells cut into rows.  The lengths
+    are checked before any cell is read."""
+    expected = size * size
+    if table and isinstance(table[0], list):
+        count = sum(map(len, table))
+        if count == expected:
+            for row in table:
+                if len(row) != size:
+                    raise ValueError(f"table for {op!r} has a row of "
+                                     f"{len(row)} cells, expected {size}")
+            return table
+    else:
+        count = len(table)
+    if count != expected:
+        raise ValueError(f"table for {op!r} has {count} cells, "
+                         f"expected {expected}")
+    return [table[u * size:(u + 1) * size] for u in range(size)]
 
 
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator.
 
-    Each table is a sequence of cells in table order, or ``_Rows``, with
-    size**arity cells, checked before any cell is read.  Each is read once,
-    a row at a time: the cells of a row object are interned the first time
-    it comes and copied from the table after that.  A sequence is one row.
+    A binary table is given as rows, or as a flat sequence that is cut into
+    rows; any other table is a sequence of size**arity cells.  Lengths are
+    checked before any cell is read.  Each row object is read once, and
+    rows with equal cells become one list (see the module docstring).
     """
 
     __slots__ = ("signature", "labels", "tables")
 
     def __init__(self, signature: Signature, labels: Sequence[str],
-                 tables: dict[str, Sequence[int] | _Rows]):
+                 tables: dict[str, Sequence]):
         self.signature = signature
         self.labels = tuple(labels)
         size = len(self.labels)
@@ -230,32 +222,36 @@ class MultiAlg:
                 raise ValueError(
                     f"table for operator {op!r} outside the signature")
         interned = _Interned()
-        flat: dict[str, list[int]] = {}
+        #: the cells of each distinct row -> the structure's one list of them
+        shared: dict[tuple[int, ...], list[int]] = {}
+        stored: dict[str, list] = {}
         for op, arity in arities.items():
             table = tables.get(op)
             if table is None:
                 raise ValueError(f"missing table for operator {op!r}")
-            expected = size ** arity
-            if len(table) != expected:
-                raise ValueError(f"table for {op!r} has {len(table)} cells, "
-                                 f"expected {expected}")
             known = len(interned)
-            rows = table.rows if isinstance(table, _Rows) else [table]
-            #: id of a row object read -> where its interned cells sit
-            read: dict[int, slice] = {}
-            cells: list[int] = []
-            for row in rows:
-                seen = read.get(id(row))
-                if seen is None:
-                    start = len(cells)
-                    cells += map(interned.__getitem__, row)
-                    read[id(row)] = slice(start, len(cells))
-                else:
-                    cells += cells[seen]
-            flat[op] = cells
+            if arity == 2:
+                rows = _rows_of(op, table, size)
+                #: id of a row object read -> the structure's row
+                read: dict[int, list[int]] = {}
+                out = []
+                for row in rows:
+                    got = read.get(id(row))
+                    if got is None:
+                        cells = list(map(interned.__getitem__, row))
+                        got = read[id(row)] = shared.setdefault(tuple(cells),
+                                                                cells)
+                    out.append(got)
+            else:
+                expected = size ** arity
+                if len(table) != expected:
+                    raise ValueError(f"table for {op!r} has {len(table)} "
+                                     f"cells, expected {expected}")
+                out = list(map(interned.__getitem__, table))
+            stored[op] = out
             if len(interned) > known:
-                _check_added(op, arity, cells, interned, known, size)
-        self.tables = flat
+                _check_added(op, arity, out, interned, known, size)
+        self.tables = stored
 
     @property
     def size(self) -> int:
@@ -267,10 +263,10 @@ class MultiAlg:
         if (len(args) != self.signature.arity_of(op)
                 or not all(0 <= a < size for a in args)):
             raise IndexError(f"bad argument tuple {args} for {op!r}")
-        pos = 0
-        for a in args:
-            pos = pos * size + a
-        return members(self.tables[op][pos])
+        cell = self.tables[op]
+        for a in args or (0,):
+            cell = cell[a]
+        return members(cell)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MultiAlg)
@@ -282,7 +278,9 @@ class MultiAlg:
         return f"MultiAlg({self.size} elements, {len(self.tables)} operators)"
 
     def cell_count(self) -> int:
-        return sum(len(t) for t in self.tables.values())
+        """The logical cells, size**arity per table, shared rows or not."""
+        return sum(self.size ** arity
+                   for _op, arity in self.signature.operators())
 
     def to_json(self) -> dict:
         sig = {"constants": list(self.signature.constants),
@@ -291,8 +289,9 @@ class MultiAlg:
         ops = {}
         for op, arity in self.signature.operators():
             table = {",".join(map(str, args)): list(members(cell))
-                     for args, cell in zip(arg_tuples(self.size, arity),
-                                           self.tables[op])}
+                     for args, cell in zip(
+                         arg_tuples(self.size, arity),
+                         table_cells(self.tables[op], arity))}
             ops[op] = {"arity": arity, "table": table}
         return {"signature": sig, "carrier": list(self.labels), "ops": ops}
 
@@ -319,17 +318,27 @@ def compose_maps(f: MaMap, g: MaMap) -> MaMap:
 def _cells_map_into(source: MultiAlg, target: MultiAlg, images: _Images,
                     full: bool) -> bool:
     """Is the image of every source cell under ``images.mapping`` inside
-    (equal to, when full) the target cell at the mapped arguments?  Each
-    table is checked whole: the list of cell images against the list of
-    target cells pulled at the mapped arguments."""
+    (equal to, when full) the target cell at the mapped arguments?  Checked
+    a row at a time: the images of a source row's cells against the target
+    row at the image of its argument, read at the mapped columns.  A binary
+    table checks each pair of (source row, target row) objects once."""
     mapping, size = images.mapping, target.size
     if not all(0 <= m < size for m in mapping):
         raise ValueError("map leaves the target carrier")
+    pull = _getter(mapping)
+    image = images.__getitem__
     for op, arity in source.signature.operators():
-        at = _pulled(target.tables[op], mapping, arity, size)
-        imgs = list(map(images.__getitem__, source.tables[op]))
-        if imgs != at if full else list(map(or_, imgs, at)) != at:
-            return False
+        src, tgt = source.tables[op], target.tables[op]
+        if arity == 2:
+            at = list(map(tgt.__getitem__, mapping))
+            pairs = ((row, pull(target_row)) for row, target_row in dict(
+                zip(zip(map(id, src), map(id, at)), zip(src, at))).values())
+        else:
+            pairs = [(src, pull(tgt) if arity else (tgt[0],))]
+        for row, cells in pairs:
+            imgs = tuple(map(image, row))
+            if imgs != cells if full else tuple(map(or_, imgs, cells)) != cells:
+                return False
     return True
 
 
@@ -382,35 +391,31 @@ class _KronRow(dict):
         return cell
 
 
-def _kron_table(left: list[int], p: int, right: list[int], q: int,
-                arity: int) -> list[int] | _Rows:
-    """One operator's table on the product of a p- and a q-element carrier,
-    whose element (x, y) has index x*q + y: ``_Rows``, or for a constant
-    its one cell in a list.
+def _kron_table(left: list, right: list, q: int, arity: int) -> list:
+    """One operator's table on the product of a carrier with a q-element
+    one, whose element (x, y) has index x*q + y, in the row layout.
 
-    Each row is a memoized stretch, the product cells of one left cell with
-    one right row, and stands wherever that pair comes back, so the table is
-    never held whole; a caller that slices it by rows makes it a list.
+    The product row of (x, y) runs the product cells of each cell of left
+    row x with right row y, so it is made once per pair of row objects and
+    stands wherever that pair comes back: the product has at most as many
+    distinct rows as its factors' counts multiplied.
     """
-    rows = {a: _KronRow(a, q) for a in set(left)}
+    kron = {a: _KronRow(a, q) for a in set(table_cells(left, arity))}
     if arity == 0:
-        return [rows[left[0]][right[0]]]
-    # (left, right) positions of every argument prefix but the last argument
-    prefixes = [(0, 0)]
-    for _ in range(arity - 1):
-        prefixes = [(i * p + x, j * q + y)
-                    for i, j in prefixes for x in range(p) for y in range(q)]
-    # the product cells of one left cell with one right row, made once
-    stretches: dict[tuple[int, int], list[int]] = {}
-    out: list[list[int]] = []
-    for i, j in prefixes:
-        for cell in left[i * p:(i + 1) * p]:
-            stretch = stretches.get((cell, j))
-            if stretch is None:
-                stretch = stretches[cell, j] = list(
-                    map(rows[cell].__getitem__, right[j * q:(j + 1) * q]))
-            out.append(stretch)
-    return _Rows(out)
+        return [kron[left[0]][right[0]]]
+    if arity == 1:
+        return [kron[a][b] for a in left for b in right]
+    made: dict[tuple[int, int], list[int]] = {}
+    out = []
+    for lrow in left:
+        for rrow in right:
+            row = made.get((id(lrow), id(rrow)))
+            if row is None:
+                row = made[id(lrow), id(rrow)] = []
+                for a in lrow:
+                    row += map(kron[a].__getitem__, rrow)
+            out.append(row)
+    return out
 
 
 def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
@@ -419,11 +424,9 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
 
     The carrier is ordered like ``itertools.product`` of the factors'
     carriers.  Tables are folded in from the right, one factor at a time,
-    with the product built so far as the right factor of ``_kron_table``:
-    each memoized stretch is then a whole row of that larger product.  Only
-    the intermediate folds, which the next fold slices by rows, are made
-    lists; the last one goes to the product's constructor as ``_Rows``,
-    which interns each distinct stretch once.
+    with the product built so far as the right factor of ``_kron_table``,
+    and each binary table reaches the product's constructor as rows in
+    which a repeated row is one object.
     """
     if not factors:
         raise ValueError("the product needs at least one factor")
@@ -441,13 +444,11 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
 
     labels = ["(" + ",".join(parts) + ")"
               for parts in iproduct(*[f.labels for f in factors])]
-    tables: dict[str, list[int] | _Rows] = {}
+    tables: dict[str, list] = {}
     for op, arity in sig.operators():
         table, size = factors[-1].tables[op], factors[-1].size
-        for folds, f in enumerate(reversed(factors[:-1])):
-            if folds:
-                table = list(table)
-            table = _kron_table(f.tables[op], f.size, table, size, arity)
+        for f in reversed(factors[:-1]):
+            table = _kron_table(f.tables[op], table, size, arity)
             size *= f.size
         tables[op] = table
 
@@ -461,33 +462,58 @@ def ma_product(factors: Sequence[MultiAlg]) -> tuple[MultiAlg, list[MaMap]]:
 
 
 def _pushed_tables(algebra: MultiAlg, images: _Images,
-                   size: int) -> dict[str, list[int]]:
+                   size: int) -> dict[str, list]:
     """Tables over ``size`` elements whose cell at each tuple is the union of
     the cell images over the tuple's preimages under ``images.mapping``."""
-    tables: dict[str, list[int]] = {}
+    mapping = images.mapping
+
+    def push(into: list[int], row: list[int]) -> None:
+        for w, cell in zip(mapping, row):
+            into[w] |= images[cell]
+
+    tables: dict[str, list] = {}
     for op, arity in algebra.signature.operators():
-        table = [0] * size ** arity
-        for pos, cell in zip(_mapped_positions(images.mapping, arity, size),
-                             algebra.tables[op]):
-            table[pos] |= images[cell]
-        tables[op] = table
+        table = algebra.tables[op]
+        if arity == 0:
+            tables[op] = [images[table[0]]]
+        elif arity == 1:
+            tables[op] = out = [0] * size
+            push(out, table)
+        else:
+            tables[op] = out = [[0] * size for _ in range(size)]
+            for u, row in zip(mapping, table):
+                push(out[u], row)
     return tables
 
 
 def _restricted_tables(algebra: MultiAlg,
-                       keep: Sequence[int]) -> dict[str, list[int]]:
+                       keep: Sequence[int]) -> dict[str, list]:
     """Tables over the kept elements, renumbered by their place in ``keep``:
     each cell at a tuple of them, cut down to them (0 where nothing of the
-    cell is kept)."""
+    cell is kept).  A binary table cuts each row object once."""
     images = _Images({u: n for n, u in enumerate(keep)})
     kept = mask_of(keep)
     cuts: dict[int, int] = {}
-    tables: dict[str, list[int]] = {}
-    for op, arity in algebra.signature.operators():
-        cells = _pulled(algebra.tables[op], keep, arity, algebra.size)
+    pull = _getter(keep)
+
+    def cut(cells: Sequence[int]) -> list[int]:
         for cell in set(cells).difference(cuts):
             cuts[cell] = images[cell & kept]
-        tables[op] = list(map(cuts.__getitem__, cells))
+        return list(map(cuts.__getitem__, cells))
+
+    tables: dict[str, list] = {}
+    for op, arity in algebra.signature.operators():
+        table = algebra.tables[op]
+        if arity == 2:
+            done: dict[int, list[int]] = {}
+            tables[op] = out = []
+            for row in map(table.__getitem__, keep):
+                got = done.get(id(row))
+                if got is None:
+                    got = done[id(row)] = cut(pull(row))
+                out.append(got)
+        else:
+            tables[op] = cut(pull(table) if arity else table)
     return tables
 
 

@@ -113,7 +113,7 @@ class Nmatrix:
         self._designated_mask = mask_of(self.designated)
         #: slot-set bits -> their value-class memo
         self._picks: dict[int, _Picks] = {}
-        #: (operator, slot) -> each carrier element's cell, row or column
+        #: (operator, slot) -> each carrier element's class key
         self._views: dict[tuple[str, int], list] = {}
 
     def _picks_for(self, bits: int) -> _Picks:
@@ -123,19 +123,21 @@ class Nmatrix:
         return memo
 
     def _view(self, op: str, slot: int) -> list:
-        """Each carrier element's unary cell, row (slot 0) or column (slot 1)
-        as an argument of ``op``, built once."""
+        """Each carrier element's key as an argument of ``op``, equal for
+        two elements exactly when their unary cells, rows (slot 0) or
+        columns (slot 1) are equal, built once.  A row's key is its
+        identity, since equal rows are one object; a column's is its cells
+        in the distinct rows alone, which fix the rest."""
         view = self._views.get((op, slot))
         if view is None:
             malg = self.malg
-            k = malg.size
             table = malg.tables[op]
             if malg.signature.arity_of(op) == 1:
                 view = table
             elif slot == 0:
-                view = [tuple(table[u * k:(u + 1) * k]) for u in range(k)]
+                view = list(map(id, table))
             else:
-                view = [tuple(table[u::k]) for u in range(k)]
+                view = list(zip(*{id(row): row for row in table}.values()))
             self._views[op, slot] = view
         return view
 
@@ -330,10 +332,10 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
     allowed[query.goal] &= carrier & ~designated
     if 0 in allowed:
         return Verdict(True)
-    tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
+    tables = [carrier if op is None else malg.tables[op] for op in query.ops]
     picks = [matrix._picks_for(bits) if least or shared else None
              for bits, shared in zip(query.slots, query.shared)]
-    vals = _countermodel(query.kids, k, allowed, tables, picks)
+    vals = _countermodel(query.kids, allowed, tables, picks)
     if vals is None:
         return Verdict(True)
     domain = tuple(query.closure)
@@ -345,26 +347,25 @@ def decide(matrix: Nmatrix, premises: Sequence[Formula], goal: Formula, *,
 _NO_CURSOR = iter(())
 
 
-def _countermodel(kids, k, allowed, tables, picks):
+def _countermodel(kids, allowed, tables, picks):
     """The search's values, or None.  A node with ``picks`` carries a cursor
     over its value classes; a node without carries a mask (see the module
-    docstring)."""
+    docstring).  A node's table is read at its children's values one child
+    at a time; a variable's is the carrier mask."""
     n = len(kids)
     masks = [0] * n  # written only for nodes left with several values
     vals = [-1] * n  # a node's one value, or -1 when it has several
     cursors = [_NO_CURSOR] * n
     i = 0
     while i < n:
-        pos = 0  # of the children's values in node i's table
+        m = tables[i]
         for child in kids[i]:
             u = vals[child]
             if u < 0:  # a child with several values
-                m = _union(tables[i], k, [masks[c] if vals[c] < 0
-                                          else 1 << vals[c] for c in kids[i]])
+                m = _union(tables[i], [masks[c] if vals[c] < 0
+                                       else 1 << vals[c] for c in kids[i]])
                 break
-            pos = pos * k + u
-        else:
-            m = tables[i][pos]
+            m = m[u]
         m &= allowed[i]
         if picks[i] is not None:
             cursors[i] = iter(picks[i][m])
@@ -404,22 +405,24 @@ def _countermodel(kids, k, allowed, tables, picks):
         else:
             vals[kid[0]], vals[kid[1]] = next(
                 (u, w) for u in values[0] for w in values[1]
-                if table[u * k + w] & bit)
+                if table[u][w] & bit)
     return vals
 
 
-def _union(table: list[int], k: int, masks: list[int]) -> int:
-    """The union of a table's cells over one or two argument masks."""
+def _union(table: list, masks: list[int]) -> int:
+    """The union of a table's cells over one or two argument masks: each
+    distinct row at the left mask is read once at the right mask."""
     cell = 0
     if len(masks) == 1:
         for u in members(masks[0]):
             cell |= table[u]
     else:
         ws = members(masks[1])
-        for u in members(masks[0]):
-            row = u * k
+        for row in {id(row): row
+                    for row in map(table.__getitem__,
+                                   members(masks[0]))}.values():
             for w in ws:
-                cell |= table[row + w]
+                cell |= row[w]
     return cell
 
 

@@ -54,8 +54,8 @@ from .boolalg import (A2, BaHom, BoolAlg, atom_embedding, ba_product,
 from .formula import AND, CIRC, IMP, LOGIC_SIGNATURE, NEG, OR, Formula
 from .logics import LogicId
 from .multialg import (EquivRel, MaMap, MultiAlg, _cells_map_into, _check_cap,
-                       _Images, _restricted_tables, _Rows, ma_product,
-                       mask_of, members, quotient)
+                       _Images, _restricted_tables, ma_product, mask_of,
+                       members, quotient, table_cells)
 
 Snapshot = tuple[int, ...]
 
@@ -267,10 +267,10 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
             continue
         # unpinned binary cells depend only on the first coordinates: one
         # row object per first coordinate, at the row of every snapshot
-        # with that first coordinate, so the constructor interns it once
+        # with that first coordinate, so the structure keeps it once
         rows = {a: [first_class[opfn(A, a, b)] for b in firsts]
                 for a in first_class}
-        tables[op] = _Rows(list(map(rows.__getitem__, firsts)))
+        tables[op] = list(map(rows.__getitem__, firsts))
     return _structure(logic, A, snaps, tables)
 
 
@@ -284,7 +284,7 @@ def full_swap(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
 
 
 def _structure(logic: LogicId, algebra: BoolAlg, snaps: Sequence[Snapshot],
-               tables: dict[str, Sequence[int] | _Rows]) -> SwapStructure:
+               tables: dict[str, Sequence]) -> SwapStructure:
     """The swap structure on ``snaps`` with the given cell tables, its
     elements labelled by their snapshots."""
     labels = [snapshot_label(algebra, z) for z in snaps]
@@ -679,9 +679,10 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
         for i in picked:
             yield tables[NEG][i]
             yield tables[CIRC][i]
+            rows = [tables[op][i] for op in (AND, OR, IMP)]
             for j in picked:
-                for op in (AND, OR, IMP):
-                    yield tables[op][i * k + j]
+                for row in rows:
+                    yield row[j]
 
     # repair: every maximal cell over the chosen set must meet the set
     while True:
@@ -703,8 +704,11 @@ def random_swap_substructure(rng: random.Random, logic: LogicId,
             bits = bits_of[cell] = tuple(1 << u for u in members(cell))
         return sum(rng.sample(bits, rng.randint(1, len(bits))))
 
-    cut = {op: list(map(restrict, table)) for op, table in
-           _restricted_tables(full.malg, positions).items()}
+    restricted = _restricted_tables(full.malg, positions)
+    # one call of restrict per cell position, in table order
+    cut = {op: [list(map(restrict, row)) for row in restricted[op]]
+           if arity == 2 else list(map(restrict, restricted[op]))
+           for op, arity in LOGIC_SIGNATURE.operators()}
     return _structure(logic, algebra, [pool[u] for u in positions], cut)
 
 
@@ -731,6 +735,7 @@ def closed_subuniverse_restrictions(logic: LogicId, algebra: BoolAlg):
             continue
         keep = members(bits)
         tables = _restricted_tables(full.malg, keep)
-        if any(0 in table for table in tables.values()):
+        if any(0 in table_cells(tables[op], arity)
+               for op, arity in LOGIC_SIGNATURE.operators()):
             continue
         yield _structure(logic, algebra, [pool[u] for u in keep], tables)

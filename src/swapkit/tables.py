@@ -11,7 +11,7 @@ Three renderings, matching how the tables are usually displayed:
 from __future__ import annotations
 
 from .formula import AND, CIRC, IMP, NEG, OR
-from .multialg import arg_tuples, mask_of, members
+from .multialg import arg_tuples, mask_of, members, table_cells
 from .swap import SwapStructure
 
 OP_ORDER = (AND, OR, IMP, NEG, CIRC)
@@ -38,12 +38,12 @@ def _grid_line(texts: list[str], widths: list[int]) -> str:
 
 
 def render_tables(structure: SwapStructure) -> str:
-    labels = structure.malg.labels
-    k = structure.malg.size
+    malg = structure.malg
+    labels = malg.labels
     block = not structure.logic.pair_mode and structure.algebra.atoms == 1
     bare = all(cell & (cell - 1) == 0
-               for table in structure.malg.tables.values()
-               for cell in set(table))
+               for op, arity in malg.signature.operators()
+               for cell in set(table_cells(malg.tables[op], arity)))
 
     lines = [
         f"logic: {structure.logic.display}",
@@ -54,13 +54,13 @@ def render_tables(structure: SwapStructure) -> str:
 
     # one grid per operator; a unary table is one column with an empty header
     for op in OP_ORDER:
-        table = structure.malg.tables[op]
-        unary = structure.malg.signature.arity_of(op) == 1
+        table = malg.tables[op]
+        unary = malg.signature.arity_of(op) == 1
         headers = [op] + ([""] if unary else list(labels))
         columns = len(headers) - 1
-        body = [[labels[i]] + [_cell_text(structure, cell, block, bare)
-                               for cell in table[i * columns:(i + 1) * columns]]
-                for i in range(k)]
+        body = [[label] + [_cell_text(structure, cell, block, bare)
+                           for cell in ([row] if unary else row)]
+                for label, row in zip(labels, table)]
         widths = [max(len(r[c]) for r in [headers] + body)
                   for c in range(columns + 1)]
         rule = "-" * (widths[0] + 1) + "+" + "-" * (sum(widths[1:]) + columns)
@@ -76,8 +76,9 @@ def tables_json(structure: SwapStructure) -> dict:
         arity = structure.malg.signature.arity_of(op)
         ops[op] = {",".join(labels[a] for a in args):
                    [labels[u] for u in members(cell)]
-                   for args, cell in zip(arg_tuples(len(labels), arity),
-                                         structure.malg.tables[op])}
+                   for args, cell in zip(
+                       arg_tuples(len(labels), arity),
+                       table_cells(structure.malg.tables[op], arity))}
     return {
         "logic": structure.logic.display,
         "atoms": structure.algebra.atoms,

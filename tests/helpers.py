@@ -16,7 +16,7 @@ from swapkit.formula import (AND, CIRC, IFF, IMP, NEG, OR, Binary, Formula,
 from swapkit.hilbert import (SCHEMAS, Axiom, ModusPonens, Premise, Proof,
                              axioms_of)
 from swapkit.logics import LogicId
-from swapkit.multialg import EquivRel, MultiAlg
+from swapkit.multialg import EquivRel, MultiAlg, table_cells
 from swapkit.nmatrix import (Bivaluation, Nmatrix, PartialValuation,
                              clause_failures, extended_closure)
 
@@ -51,6 +51,13 @@ def malg_from_sets(signature, labels, cells) -> MultiAlg:
                    for _args, members in sorted(table.items())]
               for op, table in cells.items()}
     return MultiAlg(signature, labels, tables)
+
+
+def flat_tables(malg: MultiAlg) -> dict:
+    """Each table of a multialgebra as one list of its cells in table
+    order, the layout ``MultiAlg`` also accepts."""
+    return {op: list(table_cells(malg.tables[op], arity))
+            for op, arity in malg.signature.operators()}
 
 
 def partition(blocks, size: int) -> EquivRel:

@@ -111,17 +111,17 @@ def reference_least_countermodel(matrix, premises, goal):
     for i in query.premises:
         allowed[i] = designated
     allowed[query.goal] &= carrier & ~designated
-    tables = [[carrier] if op is None else malg.tables[op] for op in query.ops]
+    tables = [carrier if op is None else malg.tables[op] for op in query.ops]
     picks = [matrix._picks_for(bits) for bits in query.slots]
     kids = query.kids
     vals = [0] * n
     cursors = [None] * n
     i = 0
     while i < n:
-        pos = 0  # of the children's values in node i's table
+        cell = tables[i]  # read at the children's values, one at a time
         for child in kids[i]:
-            pos = pos * k + vals[child]
-        cursors[i] = iter(picks[i][allowed[i] & tables[i][pos]])
+            cell = cell[vals[child]]
+        cursors[i] = iter(picks[i][allowed[i] & cell])
         u = next(cursors[i], None)
         while u is None:  # every class at node i failed: back up
             i -= 1

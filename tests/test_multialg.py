@@ -8,15 +8,16 @@ from swapkit.formula import LOGIC_SIGNATURE, Signature
 from swapkit.logics import LogicId
 from swapkit import multialg
 from swapkit.multialg import (EquivRel, MaMap, MultiAlg, SignatureMismatch,
-                              _pulled, _restricted_tables, _Rows, compose_maps,
+                              _getter, _restricted_tables, compose_maps,
                               is_full_homomorphism, is_homomorphism,
                               is_isomorphism, is_multicongruence,
-                              is_submultialgebra, ma_product, quotient)
+                              is_submultialgebra, ma_product, quotient,
+                              table_cells)
 from swapkit import swap
 from swapkit.swap import (full_swap, power_of_a2, random_swap_substructure,
                           universe)
-from helpers import (epi_by_separation, malg_from_sets, partition, sets_of,
-                     traced)
+from helpers import (epi_by_separation, flat_tables, malg_from_sets,
+                     partition, sets_of, traced)
 
 SIG1 = Signature(unary=("f",), binary=("g",))
 
@@ -91,29 +92,39 @@ class CountedRow(list):
 
 def test_row_tables_read_like_flat_tables():
     flat = [1, 2, 3, 1]
-    for g in [_Rows([[1, 2], [3, 1]]), flat]:
-        assert MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": g}) == \
-            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": flat})
-    rows = _Rows([[1, 2], [3, 1]])
-    assert len(rows) == 4 and list(rows) == flat
+    for g in [[[1, 2], [3, 1]], flat, tuple(flat)]:
+        m = MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": g})
+        assert m == MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": flat})
+        assert m.tables["g"] == [[1, 2], [3, 1]]
+        assert list(table_cells(m.tables["g"], 2)) == flat
+    # a one-element carrier: a flat cell, or one row of one cell
+    for g in [[1], [[1]]]:
+        assert MultiAlg(SIG1, ("a",), {"f": [1], "g": g}).tables["g"] == [[1]]
 
 
 def test_a_repeated_row_is_read_once():
     row, other = CountedRow([1, 3, 2]), CountedRow([2, 2, 1])
     m = MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
-                 {"g": _Rows([row, other, row])})
-    assert m.tables["g"] == [1, 3, 2, 2, 2, 1, 1, 3, 2]
+                 {"g": [row, other, row]})
+    assert m.tables["g"] == [[1, 3, 2], [2, 2, 1], [1, 3, 2]]
     assert (row.iterated, other.iterated) == (1, 1)
+    # the structure keeps its own rows, and equal rows are one object,
+    # however they were given
+    assert m.tables["g"][0] is m.tables["g"][2] is not row
+    for g in [[1, 3, 2, 2, 2, 1, 1, 3, 2], [[1, 3, 2], [2, 2, 1], [1, 3, 2]]]:
+        rows = MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
+                        {"g": g}).tables["g"]
+        assert rows == m.tables["g"] and rows[0] is rows[2]
 
 
 def test_a_bad_cell_in_a_repeated_row_is_named_at_its_first_place():
     row = [1, 4]
     with pytest.raises(ValueError, match=r"^invalid cell 4 at 'g'\(0, 1\)$"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": _Rows([row, row])})
+        MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [row, row]})
     bad = [1, 0, 2]
     with pytest.raises(ValueError, match=r"^empty cell 0 at 'g'\(1, 1\)$"):
         MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
-                 {"g": _Rows([[1, 2, 4], bad, bad])})
+                 {"g": [[1, 2, 4], bad, bad]})
 
 
 def test_row_tables_of_the_wrong_length_are_refused_before_reading():
@@ -122,14 +133,19 @@ def test_row_tables_of_the_wrong_length_are_refused_before_reading():
         with pytest.raises(ValueError,
                            match=rf"^table for 'g' has {count} cells, "
                                  r"expected 4$"):
-            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": _Rows(rows)})
+            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": rows})
+    # the right count of cells in rows of the wrong length
+    with pytest.raises(ValueError,
+                       match=r"^table for 'g' has a row of 3 cells, "
+                             r"expected 2$"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [row + [1], [row[0]]]})
     assert row.iterated == 0
 
 
 def test_builders_hand_big_tables_over_as_rows(monkeypatch):
-    """The unpinned binary tables of a full structure and every table of a
-    product of two or more factors reach ``MultiAlg`` as ``_Rows``, so each
-    distinct row is interned once."""
+    """The unpinned binary tables of a full structure and every binary
+    table of a product of two or more factors reach ``MultiAlg`` as rows,
+    so each distinct row is read once."""
     handed = []
 
     class Recording(MultiAlg):
@@ -147,13 +163,26 @@ def test_builders_hand_big_tables_over_as_rows(monkeypatch):
         (tables,) = handed
         pinned = swap._CLAUSES[logic].second is not None
         for op in LOGIC_SIGNATURE.binary:
-            assert isinstance(tables[op], _Rows) != pinned, (logic, op)
+            assert isinstance(tables[op][0], list) != pinned, (logic, op)
     base = m5()
     for factors in [[base, base], [base, base, base]]:
         handed.clear()
         ma_product(factors)
         (tables,) = handed
-        assert all(isinstance(table, _Rows) for table in tables.values())
+        assert all(isinstance(tables[op][0], list)
+                   for op in LOGIC_SIGNATURE.binary)
+
+
+def test_full_structures_and_powers_share_rows():
+    """A 512-element CPLe+ structure keeps 8 distinct rows per binary table
+    (one per first coordinate), and still counts its logical cells."""
+    for m in [full_swap(LogicId.CPLE_PLUS, powerset_algebra(3)).malg,
+              power_of_a2(LogicId.CPLE_PLUS, 3)]:
+        for op in LOGIC_SIGNATURE.binary:
+            rows = m.tables[op]
+            assert len(rows) == 512
+            assert len({id(row) for row in rows}) == 8
+        assert m.cell_count() == 3 * 512 ** 2 + 2 * 512 == 787_456
 
 
 def test_big_builds_hold_each_table_in_one_copy():
@@ -199,7 +228,7 @@ def test_library_built_structures_keep_one_object_per_cell():
                                     powerset_algebra(2)).malg
     quot, _ = quotient(cple2, EquivRel(tuple(range(cple2.size)), cple2.labels))
     for m in [cple3, power_of_a2(LogicId.CPLE_PLUS, 3), draw, quot]:
-        cells = [cell for table in m.tables.values() for cell in table]
+        cells = [cell for table in flat_tables(m).values() for cell in table]
         # ints above 256 are not cached by the interpreter itself
         assert max(cells) > 256
         assert len({id(cell) for cell in cells}) == len(set(cells))
@@ -256,7 +285,7 @@ def test_maps_and_partitions_must_stay_in_range():
         is_homomorphism(MaMap(m, m, (0, 1, 2, 3, 5)))
     with pytest.raises(ValueError, match="leaves the target"):
         is_submultialgebra(m, m, (0, 1, 2, 3, 5))
-    # a negative index would read a row slice from its end
+    # a negative index would read a row from its end
     with pytest.raises(ValueError, match="leaves the target"):
         is_homomorphism(MaMap(m, m, (0, 1, 2, 3, -1)))
     with pytest.raises(ValueError, match="leaves the target"):
@@ -277,22 +306,44 @@ def test_maps_and_partitions_must_stay_in_range():
             quotient(m, gappy)
 
 
-def test_pulled_reads_the_table_at_mapped_tuples():
+def test_checks_read_the_target_at_mapped_tuples():
+    # a source whose cells are the whole preimages of target cells inside
+    # the map's image maps onto the target fully, under any map, repeated
+    # or not; a source cell grown by an element mapped outside its target
+    # cell does not map into it
+    sig = Signature(constants=("e",), unary=("f",), binary=("g",))
     rng = random.Random(5)
-    for size, arity, length in product((1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 4)):
-        table = [rng.randrange(1, 99) for _ in range(size ** arity)]
-        mapping = [rng.randrange(size) for _ in range(length)]
-        want = [table[sum(mapping[a] * size ** (arity - 1 - k)
-                          for k, a in enumerate(args))]
-                for args in product(range(length), repeat=arity)]
-        assert _pulled(table, mapping, arity, size) == want
+    for size, length in product((1, 2, 3), (1, 2, 4)):
+        for _ in range(10):
+            mapping = [rng.randrange(size) for _ in range(length)]
+            image = sorted(set(mapping))
+            target = malg_from_sets(sig, "xyz"[:size], {
+                op: {args: rng.sample(image, rng.randint(1, len(image)))
+                     for args in product(range(size), repeat=arity)}
+                for op, arity in sig.operators()})
+            cells = {op: {args: [x for x in range(length) if mapping[x] in
+                                 target.cell(op, tuple(mapping[a]
+                                                       for a in args))]
+                          for args in product(range(length), repeat=arity)}
+                     for op, arity in sig.operators()}
+            source = malg_from_sets(sig, "abcd"[:length], cells)
+            f = MaMap(source, target, tuple(mapping))
+            assert is_full_homomorphism(f) and is_homomorphism(f)
+            op = rng.choice(["e", "f", "g"])
+            args = rng.choice(list(cells[op]))
+            outside = [x for x in range(length)
+                       if x not in cells[op][args]]
+            if outside:
+                cells[op][args] = cells[op][args] + [rng.choice(outside)]
+                grown = MaMap(malg_from_sets(sig, "abcd"[:length], cells),
+                              target, tuple(mapping))
+                assert not is_homomorphism(grown)
+                assert not is_full_homomorphism(grown)
 
 
-def test_pulled_with_one_index_gives_a_list():
+def test_one_element_maps_read_one_cell_per_table():
     # itemgetter of one index returns the bare item, not a 1-tuple
-    table = [1, 2, 3, 4, 5, 6, 7, 8, 9]
-    assert _pulled(table, (2,), 2, 3) == [9]
-    assert _pulled(table, [1], 1, 9) == [2]
+    assert _getter((2,))([1, 2, 3]) == (3,)
     # one-element maps come from the terminal algebra and from one-element
     # restrictions
     verdicts = set()
@@ -308,17 +359,21 @@ def test_pulled_with_one_index_gives_a_list():
             verdicts.add((closed, full))
             assert is_homomorphism(MaMap(one, m, (x,))) == closed
             assert is_full_homomorphism(MaMap(one, m, (x,))) == full
-            assert _restricted_tables(m, [x]) == {
+            tables = _restricted_tables(m, [x])
+            assert {op: list(table_cells(tables[op], arity))
+                    for op, arity in m.signature.operators()} == {
                 op: [int(x in cell)] for op, cell in at_x.items()}
     assert verdicts == {(False, False), (True, False), (True, True)}
 
 
-def test_pulled_with_an_empty_map_gives_no_cells():
-    # itemgetter of no index raises; an empty map pulls nothing
-    table = [1, 2, 3, 4]
-    assert _pulled(table, (), 1, 4) == []
-    assert _pulled(table, [], 2, 2) == []
-    assert _pulled([5], (), 0, 2) == [5]
+def test_an_empty_map_reads_no_cells():
+    # itemgetter of no index raises; an empty map reads nothing
+    assert _getter(())([1, 2, 3]) == ()
+    empty = MultiAlg(SIG1, (), {"f": [], "g": []})
+    assert empty.tables == {"f": [], "g": []} and empty.cell_count() == 0
+    for m in (full_two(), empty):
+        assert is_homomorphism(MaMap(empty, m, ()))
+        assert _restricted_tables(m, []) == {"f": [], "g": []}
 
 
 def test_identity_is_full_homomorphism():

@@ -18,8 +18,9 @@ from swapkit.swap import (CACHE_SIZE, KalmanAlgebra, SwapStructure,
                           mbc_quotient_counterexample, power_of_a2,
                           product_iso, random_swap_substructure, represent,
                           universe, validates)
-from helpers import (all_ba_homs, clause_cell, lattice_from_order,
-                     malg_from_sets, rock_paper_scissors, sets_of)
+from helpers import (all_ba_homs, clause_cell, flat_tables,
+                     lattice_from_order, malg_from_sets, rock_paper_scissors,
+                     sets_of)
 
 L = LogicId
 P2 = powerset_algebra(2)
@@ -139,13 +140,13 @@ def _sampler_record():
                     b = random_swap_substructure(rng, logic, A, max_universe)
                     lines.append(repr((logic.name, atoms, max_universe, seed,
                                        b.snapshots, b.malg.labels,
-                                       list(b.malg.tables.items()),
+                                       list(flat_tables(b.malg).items()),
                                        rng.getrandbits(32))))
                     if atoms < 3:
                         lines.append(repr([is_swap_for(lg, b) for lg in L]))
         for cand in closed_subuniverse_restrictions(logic, A2):
             lines.append(repr((logic.name, cand.snapshots, cand.malg.labels,
-                               list(cand.malg.tables.items()))))
+                               list(flat_tables(cand.malg).items()))))
     return "\n".join(lines)
 
 
@@ -223,7 +224,7 @@ def _lift_record():
         verdict = is_multicongruence(theta, m5)
         quot = quotient(m5, theta)[0] if verdict else None
         lines.append(repr((blocks, verdict,
-                           quot and list(quot.tables.items()))))
+                           quot and list(flat_tables(quot).items()))))
     return "\n".join(lines)
 
 

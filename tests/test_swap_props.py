@@ -19,6 +19,7 @@ from swapkit.logics import LogicId
 from swapkit.multialg import MultiAlg, members
 from swapkit.swap import (SwapStructure, characterize, full_swap,
                           is_swap_for, random_swap_substructure)
+from helpers import flat_tables
 
 L = LogicId
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=1200)
@@ -37,7 +38,7 @@ def mutated_structures(draw):
         base = random_swap_substructure(random.Random(seed), logic, algebra,
                                         max_universe=8)
     size = base.malg.size
-    tables = {op: list(table) for op, table in base.malg.tables.items()}
+    tables = flat_tables(base.malg)
     for _ in range(draw(st.integers(1, 3))):
         table = tables[draw(st.sampled_from(OPS))]
         pos = draw(st.integers(0, len(table) - 1))
