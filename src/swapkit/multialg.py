@@ -8,37 +8,23 @@ two are equal.  At finite scale, isomorphisms are the bijective full
 homomorphisms.
 
 Tables are rows and cells are bitmasks.  Over a carrier of k elements, a
-constant's table is a one-cell row ``[cell]``, a unary operator's is one row
-of k cells, the one at (i,) sitting at i, and a binary operator's is a list
-of k row references, the cell at (i, j) sitting at ``tables[op][i][j]``
-(``table_cells`` runs them together in table order, the order of
-``arg_tuples``).  A cell is an int whose bit u is set when carrier element u
-belongs to it.  Equal cells are one interned int per structure, and equal
-rows are one list, so a binary table costs k row slots plus its distinct
-rows, equality of multialgebras is plain list equality, and memos key on the
-cell value or on the row object.  In every unpinned swap structure a binary
-cell depends only on first coordinates, so its table has as many distinct
-rows as the Boolean algebra has elements: 8 of 512 for the 3-atom CPLe+
-structure.
-
-``MultiAlg`` takes a binary table as k rows, in which one row object may
-stand at many places, or as one flat sequence of k*k cells, which it cuts
-into rows.  Lengths are checked before any cell is read.  Each row object is
-read once: its cells are interned, and it becomes the structure's one row
-with those cells.  Only the cells a table added are checked, and the first
-bad cell is named in table order.  ``cell_count`` counts logical cells,
-k**arity per table, whatever the rows share.
+constant's table is a one-cell row ``[cell]``, a unary operator's one row of
+k cells, and a binary operator's a list of k row references, the cell at
+(i, j) at ``tables[op][i][j]`` (``table_cells`` gives them in the order of
+``arg_tuples``).  Bit u of a cell is set when carrier element u belongs to
+it.  Equal cells are one interned int per structure and equal rows one list,
+so equality of multialgebras is list equality, and an unpinned swap
+structure's binary table, whose rows depend only on first coordinates, holds
+8 distinct rows of 512 over three atoms.  ``MultiAlg`` takes a binary table
+as rows or as a flat sequence of k*k cells, reads each row object once, and
+checks only the cells a table added, naming the first bad one in table
+order.  ``cell_count`` counts logical cells, k**arity per table.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
-``MultiAlg.cell`` decodes a cell to its sorted member tuple; ``members`` and
-``mask_of`` convert either way.
 
-Whole-table passes run a row at a time in C.  A homomorphism check reads the
-target row at the image of each source row's argument with one
-``operator.itemgetter`` call at the mapped columns, compares it with the
-images of the source row's cells as whole tuples, and checks each pair of
-(source row, target row) objects once; products list each product row once
-per pair of factor rows.
+Homomorphism checks read the target row at each mapped argument with one
+``operator.itemgetter`` call and check each pair of (source row, target row)
+objects once; products make each product row once per pair of factor rows.
 """
 
 from __future__ import annotations
@@ -183,31 +169,23 @@ def _rows_of(op: str, table: Sequence, size: int) -> Sequence[Sequence[int]]:
     """A binary table's rows: the table itself when its items are lists,
     else its flat sequence of size*size cells cut into rows.  The lengths
     are checked before any cell is read."""
-    expected = size * size
-    if table and isinstance(table[0], list):
-        count = sum(map(len, table))
-        if count == expected:
-            for row in table:
-                if len(row) != size:
-                    raise ValueError(f"table for {op!r} has a row of "
-                                     f"{len(row)} cells, expected {size}")
-            return table
-    else:
-        count = len(table)
-    if count != expected:
+    rows = table and isinstance(table[0], list)
+    count = sum(map(len, table)) if rows else len(table)
+    if count != size * size:
         raise ValueError(f"table for {op!r} has {count} cells, "
-                         f"expected {expected}")
-    return [table[u * size:(u + 1) * size] for u in range(size)]
+                         f"expected {size * size}")
+    if not rows:
+        return [table[u * size:(u + 1) * size] for u in range(size)]
+    for row in table:
+        if len(row) != size:
+            raise ValueError(f"table for {op!r} has a row of {len(row)} "
+                             f"cells, expected {size}")
+    return table
 
 
 class MultiAlg:
-    """Carrier with labels plus one total nonempty-cell table per operator.
-
-    A binary table is given as rows, or as a flat sequence that is cut into
-    rows; any other table is a sequence of size**arity cells.  Lengths are
-    checked before any cell is read.  Each row object is read once, and
-    rows with equal cells become one list (see the module docstring).
-    """
+    """Carrier with labels plus one total nonempty-cell table per operator,
+    held as rows (see the module docstring)."""
 
     __slots__ = ("signature", "labels", "tables")
 
@@ -232,16 +210,11 @@ class MultiAlg:
             known = len(interned)
             if arity == 2:
                 rows = _rows_of(op, table, size)
-                #: id of a row object read -> the structure's row
-                read: dict[int, list[int]] = {}
-                out = []
-                for row in rows:
-                    got = read.get(id(row))
-                    if got is None:
-                        cells = list(map(interned.__getitem__, row))
-                        got = read[id(row)] = shared.setdefault(tuple(cells),
-                                                                cells)
-                    out.append(got)
+                read = {}  # id of a row object -> the structure's row
+                for row in {id(row): row for row in rows}.values():
+                    cells = list(map(interned.__getitem__, row))
+                    read[id(row)] = shared.setdefault(tuple(cells), cells)
+                out = [read[id(row)] for row in rows]
             else:
                 expected = size ** arity
                 if len(table) != expected:
@@ -466,23 +439,18 @@ def _pushed_tables(algebra: MultiAlg, images: _Images,
     """Tables over ``size`` elements whose cell at each tuple is the union of
     the cell images over the tuple's preimages under ``images.mapping``."""
     mapping = images.mapping
-
-    def push(into: list[int], row: list[int]) -> None:
-        for w, cell in zip(mapping, row):
-            into[w] |= images[cell]
-
     tables: dict[str, list] = {}
     for op, arity in algebra.signature.operators():
         table = algebra.tables[op]
         if arity == 0:
             tables[op] = [images[table[0]]]
-        elif arity == 1:
-            tables[op] = out = [0] * size
-            push(out, table)
-        else:
-            tables[op] = out = [[0] * size for _ in range(size)]
-            for u, row in zip(mapping, table):
-                push(out[u], row)
+            continue
+        out = [0] * size if arity == 1 else [[0] * size for _ in range(size)]
+        for into, row in ([(out, table)] if arity == 1
+                          else zip(map(out.__getitem__, mapping), table)):
+            for w, cell in zip(mapping, row):
+                into[w] |= images[cell]
+        tables[op] = out
     return tables
 
 
@@ -505,13 +473,10 @@ def _restricted_tables(algebra: MultiAlg,
     for op, arity in algebra.signature.operators():
         table = algebra.tables[op]
         if arity == 2:
-            done: dict[int, list[int]] = {}
-            tables[op] = out = []
-            for row in map(table.__getitem__, keep):
-                got = done.get(id(row))
-                if got is None:
-                    got = done[id(row)] = cut(pull(row))
-                out.append(got)
+            rows = list(map(table.__getitem__, keep))
+            done = {id(row): row for row in rows}
+            done = {i: cut(pull(row)) for i, row in done.items()}
+            tables[op] = [done[id(row)] for row in rows]
         else:
             tables[op] = cut(pull(table) if arity else table)
     return tables

@@ -38,9 +38,10 @@ The memo, one per slot set on the matrix and keyed by its bits, maps a
 cell to the least member of each class it meets, ascending: the node's
 candidates, once its table cell is masked by ``allowed``.
 
-The memos read the matrix's tables through views, each carrier element's
-unary cell, row or column in one (operator, slot) pair, built once per matrix
-and shared by every slot set.
+The memos read the matrix's tables through views, one key per carrier
+element in one (operator, slot) pair, built once per matrix and shared by
+every slot set: its unary cell, the identity of its row (equal rows are one
+object), or its column's cells in the distinct rows.
 
 One search loop reads only those ints, lists and memos: no formula is
 touched after compilation.  It is cycle-cutset conditioning (Dechter, AI 41,
@@ -123,11 +124,9 @@ class Nmatrix:
         return memo
 
     def _view(self, op: str, slot: int) -> list:
-        """Each carrier element's key as an argument of ``op``, equal for
-        two elements exactly when their unary cells, rows (slot 0) or
-        columns (slot 1) are equal, built once.  A row's key is its
-        identity, since equal rows are one object; a column's is its cells
-        in the distinct rows alone, which fix the rest."""
+        """Each carrier element's key as an argument of ``op``, built once:
+        its unary cell, its row's identity (slot 0) or its column's cells
+        in the distinct rows (slot 1)."""
         view = self._views.get((op, slot))
         if view is None:
             malg = self.malg
@@ -410,17 +409,15 @@ def _countermodel(kids, allowed, tables, picks):
 
 
 def _union(table: list, masks: list[int]) -> int:
-    """The union of a table's cells over one or two argument masks: each
-    distinct row at the left mask is read once at the right mask."""
+    """The union of a table's cells over one or two argument masks."""
     cell = 0
     if len(masks) == 1:
         for u in members(masks[0]):
             cell |= table[u]
     else:
         ws = members(masks[1])
-        for row in {id(row): row
-                    for row in map(table.__getitem__,
-                                   members(masks[0]))}.values():
+        for u in members(masks[0]):
+            row = table[u]
             for w in ws:
                 cell |= row[w]
     return cell

@@ -242,13 +242,22 @@ def test_the_structure_over_a2_agrees_with_the_one_over_three_atoms():
     assert_a2_agrees_with(3, random.Random(23), 30)
 
 
-@pytest.mark.parametrize("values", [{p: 99}, {p: -1}, {p: "x"}, {p: True},
-                                    {p: 99, neg(p): 0}, {p: -1, neg(p): 0}],
-                         ids=["99", "-1", "text", "bool", "99-child",
-                              "-1-child"])
-def test_legality_rejects_values_outside_the_carrier(values):
+@pytest.mark.parametrize("values, domain", [
+    ({p: 99}, None), ({p: -1}, None), ({p: "x"}, None), ({p: True}, None),
+    ({p: 99, neg(p): 0}, None), ({p: -1, neg(p): 0}, None),
+    # p is in the domain without a value
+    ({neg(p): 3}, (p, neg(p))),
+    # ~T is {F, f0}
+    ({p: 0, neg(p): 0}, None),
+    # q has no value
+    ({p: 0, conj(p, q): 0}, (p, conj(p, q))),
+    # T & T is {T, t, t0}
+    ({p: 0, q: 0, conj(p, q): 3}, None)],
+    ids=["99", "-1", "text", "bool", "99-child", "-1-child", "missing",
+         "neg-outside-its-cell", "and-child-missing", "and-outside-its-cell"])
+def test_legality_rejects_values_outside_the_carrier(values, domain):
     m5 = nmatrix_of(full_swap(L.MBC, A2))
-    pv = PartialValuation(m5, tuple(values), values)
+    pv = PartialValuation(m5, domain or tuple(values), values)
     assert not is_legal_valuation(pv)
 
 

@@ -403,6 +403,26 @@ def test_characterize_memo_is_order_free_and_per_structure():
     assert characterize(L.CIORE, full_swap(L.CIORE, A2))
 
 
+def test_products_of_members_stay_in_the_class():
+    # the product of a draw over 1-2 atoms and one over A2, read as a
+    # structure over the product algebra: element (x, y) is x | y << a
+    for logic in L:
+        for seed in range(15):
+            rng = random.Random(seed)
+            a = rng.randint(1, 2)
+            left = random_swap_substructure(rng, logic, powerset_algebra(a),
+                                            max_universe=6)
+            right = random_swap_substructure(rng, logic, A2, max_universe=6)
+            prod, _ = ma_product([left.malg, right.malg])
+            snaps = [tuple(x | y << a for x, y in zip(z, w))
+                     for z in left.snapshots for w in right.snapshots]
+            cand = SwapStructure(logic, powerset_algebra(a + 1), prod, snaps)
+            assert is_swap_for(logic, cand), (logic, seed)
+            for other in L:
+                assert characterize(other, cand) == is_swap_for(other, cand), \
+                    (logic, seed, other)
+
+
 def test_characterize_agreement_under_single_cell_mutations():
     # perturb one cell of a full structure (shrink it, or splice in another
     # carrier element) and check the structural and axiomatic membership
