@@ -8,17 +8,18 @@ two are equal.  At finite scale, isomorphisms are the bijective full
 homomorphisms.
 
 Tables are rows and cells are bitmasks.  Over a carrier of k elements, a
-constant's table is a one-cell row ``[cell]``, a unary operator's one row of
-k cells, and a binary operator's a list of k row references, the cell at
-(i, j) at ``tables[op][i][j]`` (``table_cells`` gives them in the order of
+constant's table is a one-cell row, a unary operator's one row of k cells,
+and a binary operator's k row references, the cell at (i, j) at
+``tables[op][i][j]`` (``table_cells`` gives them in the order of
 ``arg_tuples``).  Bit u of a cell is set when carrier element u belongs to
-it.  Equal cells are one interned int per structure and equal rows one list,
-so equality of multialgebras is list equality, and an unpinned swap
-structure's binary table, whose rows depend only on first coordinates, holds
-8 distinct rows of 512 over three atoms.  ``MultiAlg`` takes a binary table
-as rows or as a flat sequence of k*k cells, reads each row object once, and
-checks only the cells a table added, naming the first bad one in table
-order.  ``cell_count`` counts logical cells, k**arity per table.
+it.  ``MultiAlg`` takes every table in this layout, checks every table's
+shape before it reads a cell, reads each row object once and stores it as
+a tuple; equal rows are one tuple per structure (hash-consing), so a row
+cannot be changed under the cells that share it, and an unpinned swap
+structure's binary table, whose rows depend only on first coordinates,
+holds 8 distinct rows of 512 over three atoms.  The cells of the distinct
+rows are checked at once, and a bad one is named at its first place in
+table order.  ``cell_count`` counts logical cells, k**arity per table.
 Membership is a shift and a mask, the image of a cell and the union of
 cells are ``|``, and containment is ``a & ~b == 0``.
 
@@ -30,7 +31,7 @@ objects once; products make each product row once per pair of factor rows.
 from __future__ import annotations
 
 import os
-from itertools import chain, islice, product as iproduct
+from itertools import chain, product as iproduct
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -106,7 +107,7 @@ def arg_tuples(size: int, arity: int) -> Iterator[tuple[int, ...]]:
     return iproduct(range(size), repeat=arity)
 
 
-def table_cells(table: list, arity: int) -> Iterable[int]:
+def table_cells(table: Sequence, arity: int) -> Iterable[int]:
     """A stored table's cells in table order: a binary table's rows run
     together."""
     return chain.from_iterable(table) if arity == 2 else table
@@ -138,44 +139,40 @@ class _Images(dict):
         return img
 
 
-def _check_added(op: str, arity: int, table: list, interned: dict,
-                 known: int, size: int) -> None:
-    """Refuse a table unless the cells it added to ``interned``, those past
-    the first ``known``, are all ints with a member and none at or above
-    ``size``.  Only a refused table is walked cell by cell, so that the
-    error names its first bad cell in table order."""
-    added = list(islice(interned, known, None))
-    if (all(issubclass(t, int) for t in set(map(type, added)))
-            and min(added) > 0 and max(added) >> size == 0):
+def _check_cells(tables: dict[str, Sequence], arities: dict[str, int],
+                 rows: Iterable[tuple[int, ...]], size: int) -> None:
+    """Refuse the tables unless the cells of their distinct ``rows`` are
+    all ints with a member and none at or above ``size``.  Only refused
+    tables are walked cell by cell, so that the error names the first bad
+    cell in table order."""
+    cells = list(chain.from_iterable(rows))
+    if not cells or (all(issubclass(t, int) for t in set(map(type, cells)))
+                     and min(cells) > 0 and max(cells) >> size == 0):
         return
-    for at, cell in zip(arg_tuples(size, arity), table_cells(table, arity)):
-        if not isinstance(cell, int) or cell <= 0 or cell >> size:
-            what = "empty" if cell == 0 else "invalid"
-            raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
+    for op, arity in arities.items():
+        for at, cell in zip(arg_tuples(size, arity),
+                            table_cells(tables[op], arity)):
+            if not isinstance(cell, int) or cell <= 0 or cell >> size:
+                what = "empty" if cell == 0 else "invalid"
+                raise ValueError(f"{what} cell {cell!r} at {op!r}{at}")
 
 
-class _Interned(dict):
-    """The one object for each distinct cell, across all tables: a cell not
-    yet seen is stored under itself on lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, cell: int) -> int:
-        self[cell] = cell
-        return cell
-
-
-def _rows_of(op: str, table: Sequence, size: int) -> Sequence[Sequence[int]]:
-    """A binary table's rows: the table itself when its items are lists,
-    else its flat sequence of size*size cells cut into rows.  The lengths
-    are checked before any cell is read."""
-    rows = table and isinstance(table[0], list)
-    count = sum(map(len, table)) if rows else len(table)
-    if count != size * size:
-        raise ValueError(f"table for {op!r} has {count} cells, "
-                         f"expected {size * size}")
-    if not rows:
-        return [table[u * size:(u + 1) * size] for u in range(size)]
+def _rows_of(op: str, table: Optional[Sequence], arity: int,
+             size: int) -> Sequence[Sequence[int]]:
+    """A table's rows: a binary table's k rows of k cells, or a unary
+    table or a constant as its one row.  The shape is checked before any
+    cell is read."""
+    if table is None:
+        raise ValueError(f"missing table for operator {op!r}")
+    if arity < 2:
+        expected = size ** arity
+        if len(table) != expected:
+            raise ValueError(f"table for {op!r} has {len(table)} cells, "
+                             f"expected {expected}")
+        return (table,)
+    if len(table) != size:
+        raise ValueError(f"table for {op!r} has {len(table)} rows, "
+                         f"expected {size}")
     for row in table:
         if len(row) != size:
             raise ValueError(f"table for {op!r} has a row of {len(row)} "
@@ -185,7 +182,7 @@ def _rows_of(op: str, table: Sequence, size: int) -> Sequence[Sequence[int]]:
 
 class MultiAlg:
     """Carrier with labels plus one total nonempty-cell table per operator,
-    held as rows (see the module docstring)."""
+    held as immutable rows (see the module docstring)."""
 
     __slots__ = ("signature", "labels", "tables")
 
@@ -199,31 +196,20 @@ class MultiAlg:
             if op not in arities:
                 raise ValueError(
                     f"table for operator {op!r} outside the signature")
-        interned = _Interned()
-        #: the cells of each distinct row -> the structure's one list of them
-        shared: dict[tuple[int, ...], list[int]] = {}
-        stored: dict[str, list] = {}
-        for op, arity in arities.items():
-            table = tables.get(op)
-            if table is None:
-                raise ValueError(f"missing table for operator {op!r}")
-            known = len(interned)
-            if arity == 2:
-                rows = _rows_of(op, table, size)
-                read = {}  # id of a row object -> the structure's row
-                for row in {id(row): row for row in rows}.values():
-                    cells = list(map(interned.__getitem__, row))
-                    read[id(row)] = shared.setdefault(tuple(cells), cells)
-                out = [read[id(row)] for row in rows]
-            else:
-                expected = size ** arity
-                if len(table) != expected:
-                    raise ValueError(f"table for {op!r} has {len(table)} "
-                                     f"cells, expected {expected}")
-                out = list(map(interned.__getitem__, table))
-            stored[op] = out
-            if len(interned) > known:
-                _check_added(op, arity, out, interned, known, size)
+        given = {op: _rows_of(op, tables.get(op), arity, size)
+                 for op, arity in arities.items()}
+        #: each distinct row -> the structure's one tuple of its cells
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        stored: dict[str, tuple] = {}
+        for op, rows in given.items():
+            read = {}  # id of a row object -> the structure's row
+            for row in rows:
+                if id(row) not in read:
+                    cells = tuple(row)
+                    read[id(row)] = shared.setdefault(cells, cells)
+            out = tuple(map(read.__getitem__, map(id, rows)))
+            stored[op] = out if arities[op] == 2 else out[0]
+        _check_cells(stored, arities, shared, size)
         self.tables = stored
 
     @property
@@ -307,7 +293,7 @@ def _cells_map_into(source: MultiAlg, target: MultiAlg, images: _Images,
             pairs = ((row, pull(target_row)) for row, target_row in dict(
                 zip(zip(map(id, src), map(id, at)), zip(src, at))).values())
         else:
-            pairs = [(src, pull(tgt) if arity else (tgt[0],))]
+            pairs = [(src, pull(tgt) if arity else tgt)]
         for row, cells in pairs:
             imgs = tuple(map(image, row))
             if imgs != cells if full else tuple(map(or_, imgs, cells)) != cells:

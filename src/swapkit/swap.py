@@ -238,9 +238,12 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     for i, z in enumerate(snaps):
         first_class[z[0]] = first_class.get(z[0], 0) | 1 << i
 
+    #: the one-snapshot cells, one int object each for every pinned cell
+    single = [1 << i for i in range(len(snaps))]
+
     def pin(z1: int, z2: int) -> int:
         """The one-snapshot cell of a forced (pair-family) output."""
-        return 1 << index[z1, z2, A.comp(A.meet(z1, z2))]
+        return single[index[z1, z2, A.comp(A.meet(z1, z2))]]
 
     if clauses.second:
         neg = [pin(z[1], z[0]) for z in snaps]
@@ -259,11 +262,13 @@ def _full_structure(logic: LogicId, algebra: BoolAlg) -> SwapStructure:
     firsts = [z[0] for z in snaps]
     for op, opfn in BINARY_BA.items():
         if clauses.second:
-            tables[op] = cells = []
+            tables[op] = rows = []
             for z in snaps:
+                row = []
                 for w in snaps:
                     first = opfn(A, z[0], w[0])
-                    cells.append(pin(first, clauses.second(A, op, z, w, first)))
+                    row.append(pin(first, clauses.second(A, op, z, w, first)))
+                rows.append(row)
             continue
         # unpinned binary cells depend only on the first coordinates: one
         # row object per first coordinate, at the row of every snapshot

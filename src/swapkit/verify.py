@@ -237,9 +237,14 @@ def duality_suite(max_atoms: int = 3) -> tuple[bool, list[str]]:
         consts = (star[K.top] == (A.bot, A.top)          # *T = F
                   and star[K.center] == (A.top, A.top)   # *f = t
                   and star[K.bottom] == (A.top, A.bot))  # *F = T
-        checks.append((not eq_bad and consts,
-                       f"{n} atoms: star swaps meet/join, commutes with "
-                       "negation, and sends T,f,F to F,t,T"))
+        broken = list(dict.fromkeys(eq_bad))
+        if not consts:
+            broken.append("constants")
+        text = (f"{n} atoms: star swaps meet/join, commutes with negation, "
+                "and sends T,f,F to F,t,T")
+        if broken:
+            text += f" (broken: {', '.join(broken)})"
+        checks.append((not broken, text))
         checks.append((not kleene_law_failures(K),
                        f"{n} atoms: pair construction satisfies the Kleene "
                        "laws"))

@@ -41,21 +41,34 @@ def traced(call):
     return result, peak, held
 
 
+def table_rows(cells, size: int, arity: int) -> list:
+    """A table given as its cells in table order, in the layout ``MultiAlg``
+    takes: a binary table cut into rows of ``size`` cells, any other table
+    as its one row."""
+    cells = list(cells)
+    if arity < 2:
+        return cells
+    return [cells[u * size:(u + 1) * size] for u in range(size)]
+
+
 def malg_from_sets(signature, labels, cells) -> MultiAlg:
     """A multialgebra from tables written as {op: {argument tuple: members}}.
 
-    The members become bitmask cells, listed in argument-tuple order; a
-    table missing a tuple comes out short, which ``MultiAlg`` rejects.
+    The members become bitmask cells, listed in argument-tuple order and cut
+    into rows; a table missing a tuple comes out short, which ``MultiAlg``
+    rejects.
     """
-    tables = {op: [sum(1 << u for u in set(members))
-                   for _args, members in sorted(table.items())]
+    tables = {op: table_rows([sum(1 << u for u in set(members))
+                              for _args, members in sorted(table.items())],
+                             len(labels), signature.arity_of(op))
               for op, table in cells.items()}
     return MultiAlg(signature, labels, tables)
 
 
 def flat_tables(malg: MultiAlg) -> dict:
     """Each table of a multialgebra as one list of its cells in table
-    order, the layout ``MultiAlg`` also accepts."""
+    order, which ``table_rows`` cuts back into the layout ``MultiAlg``
+    takes."""
     return {op: list(table_cells(malg.tables[op], arity))
             for op, arity in malg.signature.operators()}
 

@@ -16,8 +16,8 @@ from swapkit.multialg import (EquivRel, MaMap, MultiAlg, SignatureMismatch,
 from swapkit import swap
 from swapkit.swap import (full_swap, power_of_a2, random_swap_substructure,
                           universe)
-from helpers import (epi_by_separation, flat_tables, malg_from_sets,
-                     partition, sets_of, traced)
+from helpers import (epi_by_separation, malg_from_sets, partition, sets_of,
+                     traced)
 
 SIG1 = Signature(unary=("f",), binary=("g",))
 
@@ -34,7 +34,8 @@ def identity(m):
 def terminal(signature):
     """The one-element multialgebra: every cell is the whole carrier."""
     return MultiAlg(signature, ("*",),
-                    {op: [1] for op, _arity in signature.operators()})
+                    {op: [[1]] if arity == 2 else [1]
+                     for op, arity in signature.operators()})
 
 
 def full_two():
@@ -55,27 +56,29 @@ def test_cells_must_be_nonempty_and_total():
     with pytest.raises(ValueError):
         tiny({"f": {(0,): (0,)},
               "g": {(i, j): (0,) for i in range(2) for j in range(2)}})
-    # flat tables: length k**arity, cells nonzero bitmasks below 1 << k
-    with pytest.raises(ValueError, match="has 3 cells, expected 4"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3]})
+    # a unary table is one row of k cells, a binary one k rows of k
+    # cells, and cells are nonzero bitmasks below 1 << k
+    with pytest.raises(ValueError, match="has 3 cells, expected 2"):
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2, 3], "g": [[1, 2], [3, 1]]})
     with pytest.raises(ValueError, match="empty cell"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3, 0]})
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [[1, 2], [3, 0]]})
     with pytest.raises(ValueError, match=r"invalid cell 4 at 'f'\(1,\)"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [1, 4], "g": [1, 2, 3, 3]})
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 4], "g": [[1, 2], [3, 3]]})
     with pytest.raises(ValueError, match="missing table"):
         MultiAlg(SIG1, ("a", "b"), {"f": [1, 2]})
     with pytest.raises(ValueError, match="operator 'h' outside the signature"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [1, 2, 3, 1], "h": [7]})
+        MultiAlg(SIG1, ("a", "b"),
+                 {"f": [1, 2], "g": [[1, 2], [3, 1]], "h": [7]})
     # with several bad cells, the first in table order is named
     with pytest.raises(ValueError, match=r"invalid cell 4 at 'f'\(0,\)"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [4, 0], "g": [1, 2, 3, 1]})
+        MultiAlg(SIG1, ("a", "b"), {"f": [4, 0], "g": [[1, 2], [3, 1]]})
     with pytest.raises(ValueError, match=r"invalid cell 4 at 'g'\(0, 0\)"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [4, 1, 0, 1]})
+        MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": [[4, 1], [0, 1]]})
     # a table is a sequence: a generator is refused before it is read
-    stream = (c for c in [1, 2, 3, 1])
+    stream = (row for row in [[1, 2], [3, 1]])
     with pytest.raises(TypeError):
         MultiAlg(SIG1, ("a", "b"), {"f": [1, 2], "g": stream})
-    assert next(stream) == 1
+    assert next(stream) == [1, 2]
 
 
 class CountedRow(list):
@@ -92,29 +95,34 @@ class CountedRow(list):
 
 def test_row_tables_read_like_flat_tables():
     flat = [1, 2, 3, 1]
-    for g in [[[1, 2], [3, 1]], flat, tuple(flat)]:
+    for g in [[[1, 2], [3, 1]], ([1, 2], (3, 1)), ((1, 2), (3, 1))]:
         m = MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": g})
-        assert m == MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": flat})
-        assert m.tables["g"] == [[1, 2], [3, 1]]
+        assert m == MultiAlg(SIG1, ("a", "b"),
+                             {"f": [2, 3], "g": [[1, 2], [3, 1]]})
+        assert m.tables["g"] == ((1, 2), (3, 1))
         assert list(table_cells(m.tables["g"], 2)) == flat
-    # a one-element carrier: a flat cell, or one row of one cell
-    for g in [[1], [[1]]]:
-        assert MultiAlg(SIG1, ("a",), {"f": [1], "g": g}).tables["g"] == [[1]]
+    # a one-element carrier: one row of one cell
+    assert MultiAlg(SIG1, ("a",), {"f": [1], "g": [[1]]}).tables["g"] == \
+        ((1,),)
 
 
 def test_a_repeated_row_is_read_once():
     row, other = CountedRow([1, 3, 2]), CountedRow([2, 2, 1])
     m = MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
                  {"g": [row, other, row]})
-    assert m.tables["g"] == [[1, 3, 2], [2, 2, 1], [1, 3, 2]]
+    assert m.tables["g"] == ((1, 3, 2), (2, 2, 1), (1, 3, 2))
     assert (row.iterated, other.iterated) == (1, 1)
     # the structure keeps its own rows, and equal rows are one object,
     # however they were given
     assert m.tables["g"][0] is m.tables["g"][2] is not row
-    for g in [[1, 3, 2, 2, 2, 1, 1, 3, 2], [[1, 3, 2], [2, 2, 1], [1, 3, 2]]]:
+    for g in [[[1, 3, 2], [2, 2, 1], [1, 3, 2]],
+              [(1, 3, 2), [2, 2, 1], [1, 3, 2]]]:
         rows = MultiAlg(Signature(binary=("g",)), ("a", "b", "c"),
                         {"g": g}).tables["g"]
         assert rows == m.tables["g"] and rows[0] is rows[2]
+        # so a shared row cannot be written through one of its places
+        with pytest.raises(TypeError):
+            rows[0][1] = 1
 
 
 def test_a_bad_cell_in_a_repeated_row_is_named_at_its_first_place():
@@ -128,24 +136,26 @@ def test_a_bad_cell_in_a_repeated_row_is_named_at_its_first_place():
 
 
 def test_row_tables_of_the_wrong_length_are_refused_before_reading():
+    # every table's shape is checked before any cell is read, so neither
+    # the bad table nor the good unary one ahead of it is read
     row = CountedRow([1, 2])
-    for rows, count in [([row, row, row], 6), ([row], 2)]:
+    for rows, count in [([row, row, row], 3), ([row], 1)]:
         with pytest.raises(ValueError,
-                           match=rf"^table for 'g' has {count} cells, "
-                                 r"expected 4$"):
-            MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": rows})
+                           match=rf"^table for 'g' has {count} rows, "
+                                 r"expected 2$"):
+            MultiAlg(SIG1, ("a", "b"), {"f": row, "g": rows})
     # the right count of cells in rows of the wrong length
     with pytest.raises(ValueError,
                        match=r"^table for 'g' has a row of 3 cells, "
                              r"expected 2$"):
-        MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [row + [1], [row[0]]]})
+        MultiAlg(SIG1, ("a", "b"), {"f": row, "g": [row + [1], [row[0]]]})
     assert row.iterated == 0
 
 
 def test_builders_hand_big_tables_over_as_rows(monkeypatch):
-    """The unpinned binary tables of a full structure and every binary
-    table of a product of two or more factors reach ``MultiAlg`` as rows,
-    so each distinct row is read once."""
+    """Every binary table of a full structure, pinned or not, and of a
+    product of two or more factors reaches ``MultiAlg`` as rows, so each
+    distinct row is read once."""
     handed = []
 
     class Recording(MultiAlg):
@@ -161,9 +171,8 @@ def test_builders_hand_big_tables_over_as_rows(monkeypatch):
         handed.clear()
         swap._full_structure.__wrapped__(logic, A2)
         (tables,) = handed
-        pinned = swap._CLAUSES[logic].second is not None
         for op in LOGIC_SIGNATURE.binary:
-            assert isinstance(tables[op][0], list) != pinned, (logic, op)
+            assert isinstance(tables[op][0], list), (logic, op)
     base = m5()
     for factors in [[base, base], [base, base, base]]:
         handed.clear()
@@ -201,37 +210,14 @@ def test_big_builds_hold_each_table_in_one_copy():
 
 
 def test_flat_tables_and_cell_accessor():
-    m = MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [1, 2, 3, 1]})
+    m = MultiAlg(SIG1, ("a", "b"), {"f": [2, 3], "g": [[1, 2], [3, 1]]})
     assert m.cell("f", (0,)) == (1,) and m.cell("f", (1,)) == (0, 1)
     assert [m.cell("g", (i, j)) for i in range(2) for j in range(2)] == \
         [(0,), (1,), (0, 1), (0,)]
     assert m.cell_count() == 6
-    # equal cells share one object, so a table costs one slot per cell
-    whole = [int("1" * 70, 2) for _ in range(70)]
-    assert whole[0] is not whole[1]
-    # and across tables: "h" holds an equal but distinct int
-    other = [int("1" * 70, 2) for _ in range(70)]
-    assert other[0] is not whole[0]
-    big = MultiAlg(Signature(unary=("f", "h")), [f"x{i}" for i in range(70)],
-                   {"f": whole, "h": other})
-    assert all(cell is big.tables["f"][0]
-               for table in big.tables.values() for cell in table)
     for bad in [(2,), (0, 1), (-1,)]:
         with pytest.raises(IndexError):
             m.cell("f", bad)
-
-
-def test_library_built_structures_keep_one_object_per_cell():
-    cple3 = full_swap(LogicId.CPLE_PLUS, powerset_algebra(3)).malg
-    cple2 = full_swap(LogicId.CPLE_PLUS, powerset_algebra(2)).malg
-    draw = random_swap_substructure(random.Random(3), LogicId.CPLE_PLUS,
-                                    powerset_algebra(2)).malg
-    quot, _ = quotient(cple2, EquivRel(tuple(range(cple2.size)), cple2.labels))
-    for m in [cple3, power_of_a2(LogicId.CPLE_PLUS, 3), draw, quot]:
-        cells = [cell for table in flat_tables(m).values() for cell in table]
-        # ints above 256 are not cached by the interpreter itself
-        assert max(cells) > 256
-        assert len({id(cell) for cell in cells}) == len(set(cells))
 
 
 def test_submultialgebra_reflexive():
@@ -277,6 +263,8 @@ def test_signature_mismatch_raises():
         is_submultialgebra(other, full_two(), (0,))
     with pytest.raises(SignatureMismatch):
         is_homomorphism(MaMap(other, full_two(), (0,)))
+    with pytest.raises(SignatureMismatch, match="signatures differ"):
+        ma_product([full_two(), other])
 
 
 def test_maps_and_partitions_must_stay_in_range():
@@ -290,6 +278,17 @@ def test_maps_and_partitions_must_stay_in_range():
         is_homomorphism(MaMap(m, m, (0, 1, 2, 3, -1)))
     with pytest.raises(ValueError, match="leaves the target"):
         is_submultialgebra(m, m, (0, 1, 2, -1, 4))
+    with pytest.raises(ValueError, match="injective and total"):
+        is_submultialgebra(m, m, (0, 1, 2, 3, 3))
+    with pytest.raises(ValueError, match="total on the source carrier"):
+        is_homomorphism(MaMap(m, m, (0, 1, 2, 3)))
+    for blocks in ([[0, 5], [1, 2, 3, 4]], [[0, 3], [1, 2, 3, 4]]):
+        with pytest.raises(ValueError, match="partition the carrier"):
+            EquivRel.from_blocks(blocks, 5, labels=("a", "b"))
+    with pytest.raises(ValueError, match="cover the carrier"):
+        EquivRel.from_blocks([[0, 3], [1, 2]], 5, labels=("a", "b"))
+    with pytest.raises(ValueError, match="wrong carrier"):
+        quotient(m, EquivRel((0, 0, 1, 1), ("a", "b")))
     with pytest.raises(ValueError, match="without a label"):
         is_multicongruence(EquivRel((0, 0, 1, 1, 2), ("a", "b")), m)
     # a label with no element is an empty block, which no partition has
@@ -370,7 +369,7 @@ def test_an_empty_map_reads_no_cells():
     # itemgetter of no index raises; an empty map reads nothing
     assert _getter(())([1, 2, 3]) == ()
     empty = MultiAlg(SIG1, (), {"f": [], "g": []})
-    assert empty.tables == {"f": [], "g": []} and empty.cell_count() == 0
+    assert empty.tables == {"f": (), "g": ()} and empty.cell_count() == 0
     for m in (full_two(), empty):
         assert is_homomorphism(MaMap(empty, m, ()))
         assert _restricted_tables(m, []) == {"f": [], "g": []}

@@ -16,7 +16,7 @@ from swapkit.multialg import (EquivRel, MaMap, MultiAlg, _restricted_tables,
                               is_full_homomorphism, is_homomorphism,
                               is_multicongruence, is_submultialgebra,
                               ma_product, quotient, table_cells)
-from helpers import flat_tables
+from helpers import flat_tables, table_rows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 SIG = Signature(constants=("e",), unary=("f",), binary=("g",))
@@ -28,8 +28,9 @@ def multialgs(draw, size=None):
     if size is None:
         size = draw(st.integers(1, 3))
     cell = st.integers(1, (1 << size) - 1)
-    tables = {op: draw(st.lists(cell, min_size=size ** arity,
-                                max_size=size ** arity))
+    tables = {op: table_rows(draw(st.lists(cell, min_size=size ** arity,
+                                           max_size=size ** arity)),
+                             size, arity)
               for op, arity in SIG.operators()}
     labels = [f"x{i}" for i in range(size)]
     return MultiAlg(SIG, labels, tables)
@@ -97,8 +98,9 @@ def test_homomorphism_checks_match_definitions(f):
 def test_homomorphism_checks_accept_sub_cells(m):
     # shrinking cells to their least member gives a submultialgebra, whose
     # identity map into the original is a homomorphism
-    least = {op: [cell & -cell for cell in table]
-             for op, table in flat_tables(m).items()}
+    flat = flat_tables(m)
+    least = {op: table_rows([cell & -cell for cell in flat[op]], m.size, arity)
+             for op, arity in SIG.operators()}
     sub = MultiAlg(SIG, m.labels, least)
     identity = tuple(range(m.size))
     assert is_homomorphism(MaMap(sub, m, identity))
@@ -160,10 +162,10 @@ def partitioned(draw):
         some_blocks = (st.sets(st.integers(0, len(blocks) - 1), min_size=1,
                                max_size=1 if arity == 0 else len(blocks)))
         per_key: dict[tuple, frozenset] = {}
-        tables[op] = [
+        tables[op] = table_rows([
             cell_meeting(per_key.setdefault(
                 tuple(block_of[a] for a in args), draw(some_blocks)))
-            for args in all_args(size, arity)]
+            for args in all_args(size, arity)], size, arity)
     return MultiAlg(SIG, [f"x{i}" for i in range(size)], tables), rel
 
 
@@ -215,7 +217,9 @@ def from_json(data: dict) -> MultiAlg:
         keys = [",".join(map(str, args))
                 for args in all_args(size, spec["arity"])]
         assert list(spec["table"]) == keys
-        tables[op] = [sum(1 << u for u in spec["table"][key]) for key in keys]
+        tables[op] = table_rows(
+            [sum(1 << u for u in spec["table"][key]) for key in keys],
+            size, spec["arity"])
     return MultiAlg(sig, data["carrier"], tables)
 
 

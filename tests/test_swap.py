@@ -623,14 +623,45 @@ _DIAMOND_AND_TAIL = lattice_from_order(
           "join": _by_position(lambda x, y: _DIAMOND_AND_TAIL[1][x][y])},
      ["distributivity", "de-morgan", "kleene"]),
     (A2, {"neg": lambda self, z: z}, ["de-morgan", "kleene", "center"]),
+    (A2, {"meet": lambda self, z, w: (5, 5)}, ["closure"]),
+    (A2, {"neg": lambda self, z: self.bottom}, ["involution", "center"]),
 ], ids=["commutativity", "associativity", "absorption", "distributivity",
-        "negation"])
+        "negation", "closure", "involution"])
 def test_kleene_law_failures_names_each_broken_law(monkeypatch, algebra,
                                                    patches, want):
     K = KalmanAlgebra(algebra)
     for name, method in patches.items():
         monkeypatch.setattr(KalmanAlgebra, name, method)
     assert kleene_law_failures(K) == want
+
+
+@pytest.mark.parametrize("name, patch, broken", [
+    ("meet", lambda self, z, w: z, "meet-to-join"),
+    ("join", lambda self, z, w: z, "join-to-meet"),
+    ("neg", lambda self, z: z, "negation"),
+    ("center", property(lambda self: self.top), "constants"),
+])
+def test_duality_suite_names_what_broke(monkeypatch, name, patch, broken):
+    from swapkit.verify import duality_suite
+    monkeypatch.setattr(KalmanAlgebra, name, patch)
+    ok, lines = duality_suite(max_atoms=1)
+    assert not ok
+    assert lines[1] == ("[FAIL] 1 atoms: star swaps meet/join, commutes "
+                        "with negation, and sends T,f,F to F,t,T "
+                        f"(broken: {broken})")
+
+
+def test_representation_suite_reports_draws_that_are_never_proper(
+        monkeypatch):
+    from swapkit import verify
+    monkeypatch.setattr(verify, "random_swap_substructure",
+                        lambda rng, logic, A, max_universe:
+                        full_swap(logic, A))
+    ok, lines = verify.representation_suite(full_atoms=1, randoms_per_logic=1)
+    assert not ok
+    assert lines[len(L):] == [
+        f"[FAIL] 1 random proper {logic.display} substructures embed"
+        for logic in L]
 
 
 def test_kalman_involution_two_atoms():

@@ -19,7 +19,7 @@ from swapkit.logics import LogicId
 from swapkit.multialg import MultiAlg, members
 from swapkit.swap import (SwapStructure, characterize, full_swap,
                           is_swap_for, random_swap_substructure)
-from helpers import flat_tables
+from helpers import flat_tables, table_rows
 
 L = LogicId
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=1200)
@@ -48,7 +48,9 @@ def mutated_structures(draw):
             table[pos] = cell & ~(1 << draw(st.sampled_from(inside)))
         else:
             table[pos] = cell | 1 << draw(st.integers(0, size - 1))
-    malg = MultiAlg(LOGIC_SIGNATURE, base.malg.labels, tables)
+    malg = MultiAlg(LOGIC_SIGNATURE, base.malg.labels,
+                    {op: table_rows(tables[op], size, arity)
+                     for op, arity in LOGIC_SIGNATURE.operators()})
     return SwapStructure(logic, algebra, malg, base.snapshots)
 
 
